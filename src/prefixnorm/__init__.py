@@ -51,6 +51,7 @@ from .normalform import (
 from .oracle import (
     DEFAULT_SEED,
     SweepReport,
+    brute_equivalence_class,
     brute_gap_search,
     brute_prefix_normal_set,
     corpus_measures,

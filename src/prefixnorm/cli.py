@@ -12,10 +12,15 @@ import argparse
 import os
 import sys
 
-from .errors import CapacityExceeded, IncreasingPropertyViolation, MeasureSpecError, OutOfRange
+from .errors import (
+    DEFAULT_LIMIT,
+    CapacityExceeded,
+    IncreasingPropertyViolation,
+    MeasureSpecError,
+    OutOfRange,
+)
 from .measure import Word, classify, load_measure, parikh
 from .normalform import (
-    DEFAULT_LIMIT,
     MultipleNormalForms,
     NoNormalForm,
     UniqueNormalForm,

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default enumeration cap."""
+
+# Largest number of candidate words an exhaustive enumeration accepts by default.
+DEFAULT_LIMIT = 100_000
 
 
 class IncreasingPropertyViolation(ValueError):

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import IncreasingPropertyViolation, MeasureSpecError
+from .errors import DEFAULT_LIMIT, CapacityExceeded, IncreasingPropertyViolation, MeasureSpecError
 from .monoid import (
     MonoidKind,
     MonoidValue,
@@ -428,12 +428,20 @@ def bounded_equivalence(first: WeightMeasure, second: WeightMeasure, max_len: in
     For each length the full word set is sorted by the first measure and the
     second measure's comparisons are replayed along consecutive pairs.  A
     semi-decision: disagreement yields a concrete witness pair, agreement
-    only certifies lengths up to the bound.
+    only certifies lengths up to the bound.  Refuses bounds whose longest
+    level would exceed the default enumeration cap.
     """
     if first.alphabet != second.alphabet:
         raise ValueError("measures must share an alphabet to be compared")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    size = len(first.alphabet)
+    total = size ** max_len
+    if total > DEFAULT_LIMIT:
+        raise CapacityExceeded(
+            f"{size}^{max_len} = {total} words exceed the limit of {DEFAULT_LIMIT}",
+            count=total,
+        )
     comb1, comb2 = first.combine, second.combine
     ws1, ws2 = first.payloads, second.payloads
     level1 = [first.identity_payload]

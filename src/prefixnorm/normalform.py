@@ -5,12 +5,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
+from operator import gt
 
-from .errors import CapacityExceeded
+from .errors import DEFAULT_LIMIT, CapacityExceeded
 from .measure import Word, WeightMeasure
 from .profile import factor_max_payloads
-
-DEFAULT_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -104,11 +103,58 @@ def prefix_normal_set(measure: WeightMeasure, word: Word, limit: int = DEFAULT_L
     return {Word(measure.alphabet, combo) for combo in itertools.product(*choices)}
 
 
-def equivalence_class(measure: WeightMeasure, word: Word, limit: int = DEFAULT_LIMIT) -> set[Word]:
-    """All same-length words with the same factor-weight profile, by full scan.
+def walk_words(measure: WeightMeasure, length: int, target: list | None = None):
+    """Depth-first walk of the word trie, yielding index tuples in lexicographic order.
 
-    Exponential by design; refuses alphabets/lengths whose enumeration would
-    exceed the cap.  The result always contains the word and its reverse.
+    With ``target`` (a factor-max payload list of ``length + 1`` entries) it
+    yields the words whose factor maxima equal it; without, the prefix-normal
+    words.  A node carries its suffix weights by length, so a child costs
+    O(depth) combines.  Every suffix of a node is a factor of each word below
+    it, so a node is cut when a suffix outweighs the target (for prefix-normal
+    words: the node's own prefix) of the same length, or when its weight
+    cannot reach the target's total even when followed by the heaviest factor
+    of the remaining length.
+
+    The walk keeps an explicit stack: a self-recursive closure would form a
+    reference cycle holding every call's frame until a full collection.
+    """
+    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    letters = tuple(reversed(range(len(ws))))  # reversed, so the stack pops them in order
+    # Per node: its letters, its suffix weights by length (index 0 holds the
+    # identity, the last entry the node's weight), and its factor maxima by
+    # length, which for a prefix-normal node are its prefix weights.
+    stack = [((), [ident], [ident])]
+    while stack:
+        indices, suffixes, maxima = stack.pop()
+        depth = len(indices)
+        if depth == length:
+            if target is None or maxima == target:
+                yield indices
+            continue
+        if target is None:
+            for letter in letters:
+                weight = ws[letter]
+                grown = [ident, *[comb(s, weight) for s in suffixes]]
+                if not any(map(gt, grown, maxima)):
+                    stack.append((indices + (letter,), grown, [*maxima, grown[-1]]))
+            continue
+        rest = target[length - depth - 1]
+        for letter in letters:
+            weight = ws[letter]
+            total = comb(suffixes[-1], weight)
+            if comb(total, rest) < target[length]:
+                continue
+            grown = [ident, *[comb(s, weight) for s in suffixes]]
+            if not any(map(gt, grown, target)):
+                stack.append((indices + (letter,), grown, [*map(max, maxima, grown), total]))
+
+
+def equivalence_class(measure: WeightMeasure, word: Word, limit: int = DEFAULT_LIMIT) -> set[Word]:
+    """All same-length words with the same factor-weight profile, by pruned trie walk.
+
+    Exponential by design; the cap still counts all |alphabet|^length
+    candidate words, pruned or not, and refuses alphabets/lengths beyond it.
+    The result always contains the word and its reverse.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -121,11 +167,7 @@ def equivalence_class(measure: WeightMeasure, word: Word, limit: int = DEFAULT_L
             f"{size}^{length} = {total} candidate words exceed the limit of {limit}",
             count=total,
         )
-    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-    target, _ = factor_max_payloads(ws, word.indices, ident, comb)
-    members = set()
-    for combo in itertools.product(range(size), repeat=length):
-        candidate, _ = factor_max_payloads(ws, combo, ident, comb)
-        if candidate == target:
-            members.add(Word(measure.alphabet, combo))
-    return members
+    target, _ = factor_max_payloads(
+        measure.payloads, word.indices, measure.identity_payload, measure.combine
+    )
+    return {Word(measure.alphabet, combo) for combo in walk_words(measure, length, target)}

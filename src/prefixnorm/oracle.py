@@ -31,7 +31,7 @@ from .measure import (
     subset_measure,
 )
 from .monoid import MonoidKind
-from .normalform import UniqueNormalForm, count_prefix_normal, prefix_normal_form
+from .normalform import UniqueNormalForm, count_prefix_normal, prefix_normal_form, walk_words
 from .profile import factor_max_payloads, gap_indexes, normality_conditions, prefix_payloads
 
 DEFAULT_SEED = 271828
@@ -86,18 +86,25 @@ def brute_gap_search(measure: WeightMeasure, max_len: int) -> Gap | None:
     return None
 
 
-def brute_prefix_normal_set(measure: WeightMeasure, word: Word) -> set[Word]:
-    """Filter the full factor-weight class of the word by the PN predicate."""
+def brute_equivalence_class(measure: WeightMeasure, word: Word) -> set[Word]:
+    """Every same-length word whose factor-weight profile equals the word's, by full scan."""
     measure.check_word(word)
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     target, _ = factor_max_payloads(ws, word.indices, ident, comb)
     size = len(measure.alphabet)
-    out = set()
-    for combo in itertools.product(range(size), repeat=len(word.indices)):
-        f, _ = factor_max_payloads(ws, combo, ident, comb)
-        if f == target and prefix_payloads(ws, combo, ident, comb) == f:
-            out.add(Word(measure.alphabet, combo))
-    return out
+    return {
+        Word(measure.alphabet, combo)
+        for combo in itertools.product(range(size), repeat=len(word.indices))
+        if factor_max_payloads(ws, combo, ident, comb)[0] == target
+    }
+
+
+def brute_prefix_normal_set(measure: WeightMeasure, word: Word) -> set[Word]:
+    """Filter the full factor-weight class of the word by the PN predicate."""
+    members = brute_equivalence_class(measure, word)
+    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    target, _ = factor_max_payloads(ws, word.indices, ident, comb)
+    return {m for m in members if prefix_payloads(ws, m.indices, ident, comb) == target}
 
 
 def verify_trichotomy(measure: WeightMeasure, max_len: int = 5) -> SweepReport:
@@ -161,7 +168,11 @@ def verify_trichotomy(measure: WeightMeasure, max_len: int = 5) -> SweepReport:
 
 
 def count_binary_prefix_normal(n: int, max_n: int = 16) -> int:
-    """Count prefix-normal words of length n over {0,1} under weights (1,2)."""
+    """Count prefix-normal words of length n over {0,1} under weights (1,2).
+
+    Walks only prefix-normal prefixes, without listing the words; ``max_n``
+    still bounds n as if all 2^n words were scanned.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > max_n:
@@ -169,13 +180,7 @@ def count_binary_prefix_normal(n: int, max_n: int = 16) -> int:
             f"refusing to enumerate 2^{n} binary words (bound {max_n})", count=2 ** n
         )
     measure = subset_measure(_BINARY_ALPHABET, {"1"})
-    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-    count = 0
-    for bits in itertools.product((0, 1), repeat=n):
-        f, _ = factor_max_payloads(ws, bits, ident, comb)
-        if prefix_payloads(ws, bits, ident, comb) == f:
-            count += 1
-    return count
+    return sum(1 for _ in walk_words(measure, n))
 
 
 def classic_max_ones(bits) -> list[int]:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from helpers import ABC, ANB, ANCB, ANX, BITS, VEC_FIXTURE, product_measure, sum_measure, w, words
 from prefixnorm import (
     Alphabet,
+    CapacityExceeded,
     IncreasingPropertyViolation,
     MeasureSpecError,
     MonoidKind,
@@ -272,6 +273,12 @@ def test_inequivalent_measures_yield_a_witness_pair():
 def test_equivalence_is_reflexive():
     measure = sum_measure(ABC, 1, 3, 4)
     assert bounded_equivalence(measure, measure, 4).equivalent
+
+
+def test_equivalence_refuses_oversized_levels():
+    with pytest.raises(CapacityExceeded) as info:
+        bounded_equivalence(sum_measure(ABC, 1, 2, 3), sum_measure(ABC, 1, 2, 4), max_len=11)
+    assert info.value.count == 3**11
 
 
 def test_equivalence_requires_shared_alphabet():

@@ -1,18 +1,21 @@
+import gc
 import itertools
 import random
 
 import pytest
 
-from helpers import ABC, ANB, ANCB, ANX, sum_measure, w, words
+from helpers import ABC, ANB, ANCB, ANX, product_measure, sum_measure, vec_measure, w, words
 from prefixnorm import (
     Alphabet,
     CapacityExceeded,
     Word,
+    brute_equivalence_class,
     brute_gap_search,
     brute_prefix_normal_set,
     corpus_measures,
     count_binary_prefix_normal,
     count_prefix_normal,
+    equivalence_class,
     find_gap,
     gap_indexes,
     prefix_normal_set,
@@ -78,6 +81,33 @@ def test_brute_set_agrees_with_fast_path_on_random_words():
 
 
 @pytest.mark.parametrize(
+    "measure, max_len",
+    [
+        (sum_measure(ABC, 1, 2, 3), 5),
+        (sum_measure(ABC, 1, 2, 2), 5),
+        (product_measure(ABC, 2, 3, 5), 5),
+        (product_measure(ABC, 2, 6, 18), 5),
+        (vec_measure(ABC, (0, 2), (1, 1), (2, 0)), 5),
+        (vec_measure(ABC, (0, 1), (0, 1), (1, 0)), 5),
+        (sum_measure(ANCB, 1, 3, 3, 4), 4),
+    ],
+    ids=["sum-123", "sum-122", "product-235", "product-2-6-18", "vec-lex", "vec-tied", "sum-1334"],
+)
+def test_equivalence_class_matches_brute_force_on_all_short_words(measure, max_len):
+    size = len(measure.alphabet)
+    for length in range(max_len + 1):
+        covered = set()
+        for combo in itertools.product(range(size), repeat=length):
+            if combo in covered:
+                continue
+            # Scan each class once; every member must map back to all of it.
+            brute = brute_equivalence_class(measure, Word(measure.alphabet, combo))
+            for member in brute:
+                assert equivalence_class(measure, member) == brute
+                covered.add(member.indices)
+
+
+@pytest.mark.parametrize(
     "payloads",
     [(1, 2, 3), (1, 2, 4), (1, 2, 2, 3)],
 )
@@ -97,6 +127,24 @@ def test_count_binary_prefix_normal_matches_classic_oracle():
             is_prefix_normal_classic(bits) for bits in itertools.product((0, 1), repeat=n)
         )
         assert count_binary_prefix_normal(n) == classic
+
+
+def test_count_binary_prefix_normal_matches_oeis_a194850():
+    a194850 = [1, 2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697, 1273, 2279, 4185, 7568]
+    assert [count_binary_prefix_normal(n) for n in range(17)] == a194850
+
+
+def test_enumerators_leave_no_cyclic_garbage():
+    # Cyclic garbage, such as a self-recursive walk's frames, stays alive
+    # until a full collection and inflates peak memory.
+    gc.collect()
+    gc.disable()
+    try:
+        equivalence_class(sum_measure(ABC, 1, 2, 3), w(ABC, "cabbacb"))
+        count_binary_prefix_normal(12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_count_binary_prefix_normal_bound():
