@@ -25,14 +25,11 @@ from .measure import (
     bounded_equivalence,
     classify,
     find_gap,
-    is_gapfree,
     load_measure,
     measure_line,
     measure_text,
-    new_measure,
     parikh,
     parse_measure_text,
-    project,
     standard_measure,
     stepped_step,
     subset_measure,

@@ -47,10 +47,6 @@ class Alphabet:
                 raise ValueError(f"duplicate letter {token!r}")
             seen.add(token)
 
-    @classmethod
-    def of(cls, *letters: str) -> "Alphabet":
-        return cls(tuple(letters))
-
     def __len__(self):
         return len(self.letters)
 
@@ -176,10 +172,28 @@ class WeightMeasure:
 
     @cached_property
     def projected(self) -> "ProjectedMeasure":
-        return project(self)
-
-    def identity(self) -> MonoidValue:
-        return MonoidValue(self.kind, self.identity_payload)
+        groups: dict = {}
+        for position, payload in enumerate(self.payloads):
+            groups.setdefault(payload, []).append(position)
+        classes = tuple(tuple(group) for group in groups.values())
+        tokens = tuple(
+            "{" + ",".join(self.alphabet.letters[i] for i in group) + "}" for group in classes
+        )
+        projected_measure = WeightMeasure(
+            Alphabet(tokens),
+            self.kind,
+            tuple(self.weights[group[0]] for group in classes),
+        )
+        class_of = [0] * len(self.alphabet)
+        for class_index, group in enumerate(classes):
+            for i in group:
+                class_of[i] = class_index
+        return ProjectedMeasure(
+            source_alphabet=self.alphabet,
+            classes=classes,
+            class_of=tuple(class_of),
+            measure=projected_measure,
+        )
 
     def check_word(self, word: Word) -> None:
         if word.alphabet != self.alphabet:
@@ -196,11 +210,6 @@ class WeightMeasure:
     def weight(self, word: Word) -> MonoidValue:
         self.check_word(word)
         return MonoidValue(self.kind, self.weight_payload(word))
-
-
-def new_measure(alphabet: Alphabet, kind: MonoidKind, weights) -> WeightMeasure:
-    """Validated constructor; rejects arity mismatches and identity weights."""
-    return WeightMeasure(alphabet, kind, tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -269,10 +278,6 @@ def find_gap(measure: WeightMeasure) -> Gap | None:
     return None
 
 
-def is_gapfree(measure: WeightMeasure) -> bool:
-    return find_gap(measure) is None
-
-
 def stepped_step(measure: WeightMeasure) -> MonoidValue | None:
     """The single step whose repeated action generates the distinct weights.
 
@@ -318,21 +323,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def classify(measure: WeightMeasure, oracle_max_len: int = 6) -> MeasureClassification:
+def classify(measure: WeightMeasure) -> MeasureClassification:
     """Compute all classification flags.
 
-    ``oracle_max_len`` bounds the definitional re-verification of a gap
-    witness (witnesses have length 4, so the minimum is 4); full brute-force
+    A gap witness is re-verified against the definition; full brute-force
     cross-validation lives in the oracle module's sweeps.
     """
-    if oracle_max_len < 4:
-        raise ValueError("oracle_max_len must be at least 4: gap witnesses have length 4")
     payloads = measure.payloads
     distinct = set(payloads)
     gap = find_gap(measure)
-    if gap is not None and len(gap.word) <= oracle_max_len:
-        if gap.index not in gap_indexes(measure, gap.word):
-            raise AssertionError("internal error: gap witness fails the definitional check")
+    if gap is not None and gap.index not in gap_indexes(measure, gap.word):
+        raise AssertionError("internal error: gap witness fails the definitional check")
     return MeasureClassification(
         injective=len(distinct) == len(payloads),
         alphabetically_ordered=all(a <= b for a, b in zip(payloads, payloads[1:])),
@@ -350,45 +351,22 @@ class ProjectedMeasure:
     """Equal-weight letters merged into classes, giving an injective measure.
 
     Classes are ordered by first occurrence in the source alphabet and named
-    by brace-joined member tokens, e.g. ``{n,c}``.
+    by brace-joined member tokens, e.g. ``{n,c}``.  Keeping the source
+    alphabet, not the measure, leaves its ``projected`` cache cycle-free.
     """
 
-    source: WeightMeasure
+    source_alphabet: Alphabet
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
     measure: WeightMeasure
 
     def project_word(self, word: Word) -> Word:
-        self.source.check_word(word)
+        if word.alphabet != self.source_alphabet:
+            raise ValueError("word is over a different alphabet than the measure")
         return Word(self.measure.alphabet, tuple(self.class_of[i] for i in word.indices))
 
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(group) for group in self.classes)
-
-
-def project(measure: WeightMeasure) -> ProjectedMeasure:
-    groups: dict = {}
-    for position, payload in enumerate(measure.payloads):
-        groups.setdefault(payload, []).append(position)
-    classes = tuple(tuple(group) for group in groups.values())
-    tokens = tuple(
-        "{" + ",".join(measure.alphabet.letters[i] for i in group) + "}" for group in classes
-    )
-    projected_measure = WeightMeasure(
-        Alphabet(tokens),
-        measure.kind,
-        tuple(measure.weights[group[0]] for group in classes),
-    )
-    class_of = [0] * len(measure.alphabet)
-    for class_index, group in enumerate(classes):
-        for i in group:
-            class_of[i] = class_index
-    return ProjectedMeasure(
-        source=measure,
-        classes=classes,
-        class_of=tuple(class_of),
-        measure=projected_measure,
-    )
 
 
 @dataclass(frozen=True)

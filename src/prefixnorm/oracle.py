@@ -9,6 +9,7 @@ replayable line per counterexample.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 from bisect import bisect_left, bisect_right
@@ -25,7 +26,6 @@ from .measure import (
     classify,
     find_gap,
     measure_line,
-    project,
     standard_measure,
     stepped_step,
     subset_measure,
@@ -39,18 +39,18 @@ DEFAULT_SEED = 271828
 _BINARY_ALPHABET = Alphabet(("0", "1"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepReport:
     """Outcome of one verification sweep.
 
     ``violations`` holds one replayable line per counterexample (measure,
-    word, and what went wrong); an empty list means the sweep passed.
+    word, and what went wrong); an empty tuple means the sweep passed.
     """
 
     suite: str
     params: dict = field(default_factory=dict)
     cases: int = 0
-    violations: list[str] = field(default_factory=list)
+    violations: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -163,7 +163,7 @@ def verify_trichotomy(measure: WeightMeasure, max_len: int = 5) -> SweepReport:
     if not flags.injective and not found_multi:
         violations.append(f"{line} | non-injective, but no multi-member class up to length {max_len}")
     return SweepReport(
-        "trichotomy", {"max_len": max_len, "measure": line}, cases, violations
+        "trichotomy", {"max_len": max_len, "measure": line}, cases, tuple(violations)
     )
 
 
@@ -283,123 +283,111 @@ def corpus_measures(seed: int = DEFAULT_SEED, count: int = 220) -> tuple[WeightM
     return tuple(measures)
 
 
-def _random_word_indices(rng: random.Random, size: int, max_len: int) -> tuple[int, ...]:
-    length = rng.randint(0, max_len)
-    return tuple(rng.randrange(size) for _ in range(length))
-
-
 # ---------------------------------------------------------------------------
 # Suites
 
 
-def _suite_position_functions(seed: int, cases: int = 10_000, max_len: int = 6, **_):
+def _word_sweep(suite: str, check, default_max_len: int = 6):
+    """A suite that runs ``check(measure, indices)`` on seeded random cases.
+
+    Each case draws a measure from a seeded pool of 200, then a word of at
+    most ``max_len`` letters.  A check returns None, or a problem that
+    becomes one replayable counterexample line.
+    """
+
+    def run(seed: int, cases: int = 10_000, max_len: int = default_max_len) -> SweepReport:
+        rng = random.Random(seed)
+        pool = [_random_measure(rng) for _ in range(200)]
+        violations: list[str] = []
+        drawn = range(cases)
+        for _ in drawn:
+            measure = rng.choice(pool)
+            length = rng.randint(0, max_len)
+            idx = tuple(rng.randrange(len(measure.alphabet)) for _ in range(length))
+            problem = check(measure, idx)
+            if problem:
+                violations.append(
+                    f"{measure_line(measure)} | word {Word(measure.alphabet, idx)} | {problem}"
+                )
+        return SweepReport(
+            suite, {"cases": cases, "max_len": max_len}, len(drawn), tuple(violations)
+        )
+
+    return run
+
+
+def _check_position_functions(measure: WeightMeasure, idx: tuple[int, ...]) -> str | None:
     """Order and position-function laws of prefix/factor profiles.
 
     Per random (measure, word): strict monotonicity of both profiles;
     bracketing, round-trip, separation, ordering, and monotonicity of the
     last-at-most / first-at-least position functions.
     """
-    rng = random.Random(seed)
-    pool = [_random_measure(rng) for _ in range(200)]
-    violations: list[str] = []
-
-    def check(measure: WeightMeasure, idx: tuple[int, ...]) -> str | None:
-        ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-        f, _ = factor_max_payloads(ws, idx, ident, comb)
-        p = prefix_payloads(ws, idx, ident, comb)
-        n = len(idx)
-        for i in range(n):
-            if not (f[i] < f[i + 1] and p[i] < p[i + 1]):
-                return "profiles must strictly increase"
-        total = p[n]
-        values = sorted({*p, *f, comb(total, max(ws))})[:12]
-        for x in values:
-            last = bisect_right(p, x) - 1
-            if p[last] > x:
-                return "last_at_most exceeded its bound"
-            defined = x <= total
-            if defined:
-                first = bisect_left(p, x)
-                if p[first] < x:
-                    return "first_at_least fell short of its bound"
-                if last > first:
-                    return "last_at_most above first_at_least"
-            for j in range(n + 1):
-                if last < j and not x < p[j]:
-                    return "prefix after last_at_most not above the value"
-                if defined and j < first and not p[j] < x:
-                    return "prefix before first_at_least not below the value"
-        for k in range(n + 1):
-            if bisect_right(p, p[k]) - 1 != k or bisect_left(p, p[k]) != k:
-                return "position round-trip through a prefix weight failed"
-        for x, y in zip(values, values[1:]):
-            if bisect_right(p, x) - 1 > bisect_right(p, y) - 1:
-                return "last_at_most not monotone"
-            if y <= total and bisect_left(p, x) > bisect_left(p, y):
-                return "first_at_least not monotone"
-        return None
-
-    done = 0
-    while done < cases:
-        measure = rng.choice(pool)
-        idx = _random_word_indices(rng, len(measure.alphabet), max_len)
-        problem = check(measure, idx)
-        done += 1
-        if problem:
-            violations.append(
-                f"{measure_line(measure)} | word {Word(measure.alphabet, idx)} | {problem}"
-            )
-    return SweepReport(
-        "position-functions", {"cases": cases, "max_len": max_len}, done, violations
-    )
+    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    f, _ = factor_max_payloads(ws, idx, ident, comb)
+    p = prefix_payloads(ws, idx, ident, comb)
+    n = len(idx)
+    for i in range(n):
+        if not (f[i] < f[i + 1] and p[i] < p[i + 1]):
+            return "profiles must strictly increase"
+    total = p[n]
+    values = sorted({*p, *f, comb(total, max(ws))})[:12]
+    for x in values:
+        last = bisect_right(p, x) - 1
+        if p[last] > x:
+            return "last_at_most exceeded its bound"
+        defined = x <= total
+        if defined:
+            first = bisect_left(p, x)
+            if p[first] < x:
+                return "first_at_least fell short of its bound"
+            if last > first:
+                return "last_at_most above first_at_least"
+        for j in range(n + 1):
+            if last < j and not x < p[j]:
+                return "prefix after last_at_most not above the value"
+            if defined and j < first and not p[j] < x:
+                return "prefix before first_at_least not below the value"
+    for k in range(n + 1):
+        if bisect_right(p, p[k]) - 1 != k or bisect_left(p, p[k]) != k:
+            return "position round-trip through a prefix weight failed"
+    for x, y in zip(values, values[1:]):
+        if bisect_right(p, x) - 1 > bisect_right(p, y) - 1:
+            return "last_at_most not monotone"
+        if y <= total and bisect_left(p, x) > bisect_left(p, y):
+            return "first_at_least not monotone"
+    return None
 
 
-def _suite_subadditivity(seed: int, cases: int = 10_000, max_len: int = 6, **_):
+def _check_subadditivity(measure: WeightMeasure, idx: tuple[int, ...]) -> str | None:
     """Factor maxima never beat the combine of the maxima of a split."""
-    rng = random.Random(seed)
-    pool = [_random_measure(rng) for _ in range(200)]
-    violations: list[str] = []
-    done = 0
-    while done < cases:
-        measure = rng.choice(pool)
-        idx = _random_word_indices(rng, len(measure.alphabet), max_len)
-        ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-        f, _ = factor_max_payloads(ws, idx, ident, comb)
-        done += 1
-        n = len(idx)
-        bad = next(
-            (
-                (i, j)
-                for j in range(1, n + 1)
-                for i in range(j)
-                if f[j] > comb(f[i], f[j - i])
-            ),
-            None,
-        )
-        if bad:
-            violations.append(
-                f"{measure_line(measure)} | word {Word(measure.alphabet, idx)} | "
-                f"split {bad} breaks subadditivity"
-            )
-    return SweepReport("subadditivity", {"cases": cases, "max_len": max_len}, done, violations)
+    comb = measure.combine
+    f, _ = factor_max_payloads(measure.payloads, idx, measure.identity_payload, comb)
+    for j in range(1, len(idx) + 1):
+        for i in range(j):
+            if f[j] > comb(f[i], f[j - i]):
+                return f"split {(i, j)} breaks subadditivity"
+    return None
 
 
-def _suite_pn_equivalences(seed: int, cases: int = 10_000, max_len: int = 5, **_):
+def _check_pn_equivalences(measure: WeightMeasure, idx: tuple[int, ...]) -> str | None:
     """The four prefix-normality conditions must agree on every input."""
-    rng = random.Random(seed)
-    pool = [_random_measure(rng) for _ in range(200)]
-    violations: list[str] = []
-    done = 0
-    while done < cases:
-        measure = rng.choice(pool)
-        word = Word(measure.alphabet, _random_word_indices(rng, len(measure.alphabet), max_len))
-        verdicts = normality_conditions(measure, word)
-        done += 1
-        if len(set(verdicts)) != 1:
-            violations.append(
-                f"{measure_line(measure)} | word {word} | conditions disagree: {verdicts}"
-            )
-    return SweepReport("pn-equivalences", {"cases": cases, "max_len": max_len}, done, violations)
+    verdicts = normality_conditions(measure, Word(measure.alphabet, idx))
+    return f"conditions disagree: {verdicts}" if len(set(verdicts)) != 1 else None
+
+
+def _check_projection(measure: WeightMeasure, idx: tuple[int, ...]) -> str | None:
+    """Projection keeps weights and is injective on the class alphabet."""
+    projected = measure.projected
+    word = Word(measure.alphabet, idx)
+    image = projected.project_word(word)
+    if len(set(projected.measure.payloads)) != len(projected.measure.payloads):
+        return "projected measure not injective"
+    if projected.measure.weight_payload(image) != measure.weight_payload(word):
+        return "projection changed the weight"
+    if len(image) != len(word):
+        return "projection changed length"
+    return None
 
 
 def _random_stepped_measure(rng: random.Random) -> WeightMeasure:
@@ -428,7 +416,7 @@ def _random_stepped_measure(rng: random.Random) -> WeightMeasure:
     return WeightMeasure.from_payloads(alphabet, kind, payloads)
 
 
-def _suite_exchange(seed: int, cases: int = 10_000, **_):
+def _suite_exchange(seed: int, cases: int = 10_000):
     """Weight-exchange identity for gapfree injective weight-ordered measures.
 
     With letters sorted by weight, moving y positions from one letter to
@@ -459,10 +447,10 @@ def _suite_exchange(seed: int, cases: int = 10_000, **_):
                             f"{measure_line(measure)} | positions i={i} x={x} y={y} | "
                             f"exchange identity broken"
                         )
-    return SweepReport("exchange", {"cases": cases}, done, violations)
+    return SweepReport("exchange", {"cases": cases}, done, tuple(violations))
 
 
-def _suite_prime_gapful(seed: int, prime_bound: int = 20, **_):
+def _suite_prime_gapful(seed: int, prime_bound: int = 20):
     """Every product measure with three distinct prime weights has a gap."""
     primes = [p for p in range(2, prime_bound + 1) if all(p % d for d in range(2, p))]
     alphabet = Alphabet(("a", "b", "c"))
@@ -479,34 +467,10 @@ def _suite_prime_gapful(seed: int, prime_bound: int = 20, **_):
             violations.append(f"{measure_line(measure)} | witness {gap.word} not a real gap")
         if brute_gap_search(measure, 4) is None:
             violations.append(f"{measure_line(measure)} | brute force found no gap by length 4")
-    return SweepReport("prime-gapful", {"prime_bound": prime_bound}, cases, violations)
+    return SweepReport("prime-gapful", {"prime_bound": prime_bound}, cases, tuple(violations))
 
 
-def _suite_projection(seed: int, cases: int = 10_000, max_len: int = 6, **_):
-    """Projection keeps weights and is injective on the class alphabet."""
-    rng = random.Random(seed)
-    pool = [_random_measure(rng) for _ in range(200)]
-    projections = {id(m): project(m) for m in pool}
-    violations: list[str] = []
-    done = 0
-    while done < cases:
-        measure = rng.choice(pool)
-        projected = projections[id(measure)]
-        word = Word(measure.alphabet, _random_word_indices(rng, len(measure.alphabet), max_len))
-        image = projected.project_word(word)
-        done += 1
-        if len(set(projected.measure.payloads)) != len(projected.measure.payloads):
-            violations.append(f"{measure_line(measure)} | projected measure not injective")
-        elif projected.measure.weight_payload(image) != measure.weight_payload(word):
-            violations.append(
-                f"{measure_line(measure)} | word {word} | projection changed the weight"
-            )
-        elif len(image) != len(word):
-            violations.append(f"{measure_line(measure)} | word {word} | projection changed length")
-    return SweepReport("projection", {"cases": cases, "max_len": max_len}, done, violations)
-
-
-def _suite_vector_gapfree(seed: int, max_len: int = 6, **_):
+def _suite_vector_gapfree(seed: int, max_len: int = 6):
     """The vector measure (0,2),(1,1),(2,0) is gapfree yet has no step."""
     measure = WeightMeasure.from_payloads(
         Alphabet(("a", "b", "c")), MonoidKind.VEC2_LEX, ((0, 2), (1, 1), (2, 0))
@@ -520,7 +484,7 @@ def _suite_vector_gapfree(seed: int, max_len: int = 6, **_):
     if brute is not None:
         violations.append(f"{measure_line(measure)} | brute force found a gap at {brute.word}")
     cases = sum(3 ** n for n in range(1, max_len + 1)) + 2
-    return SweepReport("vector-gapfree", {"max_len": max_len}, cases, violations)
+    return SweepReport("vector-gapfree", {"max_len": max_len}, cases, tuple(violations))
 
 
 def _steps_exist(kind: MonoidKind, distinct: list) -> bool:
@@ -535,7 +499,7 @@ def _steps_exist(kind: MonoidKind, distinct: list) -> bool:
     )
 
 
-def _suite_stepped_gapfree(seed: int, cases: int = 3_000, **_):
+def _suite_stepped_gapfree(seed: int, cases: int = 3_000):
     """Stepped base weights imply gapfreeness; the converse needs reachable steps.
 
     For non-binary measures whose carrier can express every pairwise
@@ -560,10 +524,10 @@ def _suite_stepped_gapfree(seed: int, cases: int = 3_000, **_):
                 violations.append(
                     f"{measure_line(measure)} | gapfree={gapfree} but stepped={step}"
                 )
-    return SweepReport("stepped-gapfree", {"cases": cases}, done, violations)
+    return SweepReport("stepped-gapfree", {"cases": cases}, done, tuple(violations))
 
 
-def _suite_trichotomy(seed: int, max_len: int = 5, corpus_size: int = 220, **_):
+def _suite_trichotomy(seed: int, max_len: int = 5, corpus_size: int = 220):
     """Class-count predictions versus brute force over the whole corpus."""
     violations: list[str] = []
     cases = 0
@@ -572,11 +536,11 @@ def _suite_trichotomy(seed: int, max_len: int = 5, corpus_size: int = 220, **_):
         cases += report.cases
         violations.extend(report.violations)
     return SweepReport(
-        "trichotomy", {"max_len": max_len, "corpus_size": corpus_size}, cases, violations
+        "trichotomy", {"max_len": max_len, "corpus_size": corpus_size}, cases, tuple(violations)
     )
 
 
-def _suite_gap_decision(seed: int, max_len: int = 6, corpus_size: int = 220, **_):
+def _suite_gap_decision(seed: int, max_len: int = 6, corpus_size: int = 220):
     """Fast gapfreeness decision versus exhaustive search, witness shape included."""
     violations: list[str] = []
     cases = 0
@@ -606,7 +570,7 @@ def _suite_gap_decision(seed: int, max_len: int = 6, corpus_size: int = 220, **_
         elif fast.index not in gap_indexes(measure, witness):
             violations.append(f"{line} | witness {witness} fails the definitional gap check")
     return SweepReport(
-        "gap-decision", {"max_len": max_len, "corpus_size": corpus_size}, cases, violations
+        "gap-decision", {"max_len": max_len, "corpus_size": corpus_size}, cases, tuple(violations)
     )
 
 
@@ -623,7 +587,6 @@ def _suite_equivalence(
     pnf_len: int = 5,
     corpus_size: int = 220,
     pair_sample: int = 60,
-    **_,
 ):
     """Equivalence of gapfree injective weight-ordered measures.
 
@@ -717,11 +680,11 @@ def _suite_equivalence(
         "equivalence",
         {"max_len": max_len, "pnf_len": pnf_len, "corpus_size": corpus_size},
         cases,
-        violations,
+        tuple(violations),
     )
 
 
-def _suite_binary_reduction(seed: int, max_len: int = 12, **_):
+def _suite_binary_reduction(seed: int, max_len: int = 12):
     """Weighted (1,2) prefix normality equals the classic max-ones predicate.
 
     Sweeps every binary word up to the bound, checks the predicate pair, the
@@ -757,16 +720,16 @@ def _suite_binary_reduction(seed: int, max_len: int = 12, **_):
                 f"length {length} | counts disagree: op={counted} "
                 f"classic={classic_count} weighted={weighted_count}"
             )
-    return SweepReport("binary-reduction", {"max_len": max_len}, cases, violations)
+    return SweepReport("binary-reduction", {"max_len": max_len}, cases, tuple(violations))
 
 
 _SUITES = {
-    "position-functions": _suite_position_functions,
-    "subadditivity": _suite_subadditivity,
-    "pn-equivalences": _suite_pn_equivalences,
+    "position-functions": _word_sweep("position-functions", _check_position_functions),
+    "subadditivity": _word_sweep("subadditivity", _check_subadditivity),
+    "pn-equivalences": _word_sweep("pn-equivalences", _check_pn_equivalences, 5),
     "exchange": _suite_exchange,
     "prime-gapful": _suite_prime_gapful,
-    "projection": _suite_projection,
+    "projection": _word_sweep("projection", _check_projection),
     "vector-gapfree": _suite_vector_gapfree,
     "stepped-gapfree": _suite_stepped_gapfree,
     "trichotomy": _suite_trichotomy,
@@ -775,18 +738,35 @@ _SUITES = {
     "binary-reduction": _suite_binary_reduction,
 }
 
+# Every parameter some suite declares; ``seed`` belongs to run_suite itself.
+_SUITE_PARAMETERS = {
+    name for runner in _SUITES.values() for name in inspect.signature(runner).parameters
+} - {"seed"}
+
 
 def suite_names() -> tuple[str, ...]:
     return tuple(sorted(_SUITES))
 
 
 def run_suite(suite: str, seed: int = DEFAULT_SEED, **params) -> SweepReport:
-    """Run one registered sweep; unknown names are a usage error."""
+    """Run one registered sweep.
+
+    Unknown suite names and parameter names that no suite declares are usage
+    errors.  Each suite gets only the parameters it declares (None meaning its
+    default), so the CLI can pass ``max_len`` and ``cases`` to every suite.
+    """
     try:
         runner = _SUITES[suite]
     except KeyError:
         raise ValueError(
             f"unknown suite {suite!r} (choose from: {', '.join(suite_names())})"
         ) from None
-    params = {k: v for k, v in params.items() if v is not None}
+    unknown = sorted(set(params) - _SUITE_PARAMETERS)
+    if unknown:
+        raise ValueError(
+            f"unknown sweep parameter {', '.join(map(repr, unknown))} "
+            f"(suites take: {', '.join(sorted(_SUITE_PARAMETERS))})"
+        )
+    declared = inspect.signature(runner).parameters
+    params = {k: v for k, v in params.items() if v is not None and k in declared}
     return runner(seed=seed, **params)

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,12 +18,9 @@ from prefixnorm import (
     classify,
     find_gap,
     gap_indexes,
-    is_gapfree,
     measure_text,
-    new_measure,
     parikh,
     parse_measure_text,
-    project,
     standard_measure,
     stepped_step,
     subset_measure,
@@ -71,8 +70,9 @@ def test_word_reversal_and_parikh():
 # --- measure construction --------------------------------------------------
 
 
-def test_new_measure_accepts_explicit_values():
-    measure = new_measure(ANB, MonoidKind.NAT_SUM, [MonoidValue(MonoidKind.NAT_SUM, p) for p in (1, 2, 3)])
+def test_measure_accepts_explicit_values():
+    values = tuple(MonoidValue(MonoidKind.NAT_SUM, p) for p in (1, 2, 3))
+    measure = WeightMeasure(ANB, MonoidKind.NAT_SUM, values)
     assert measure.payloads == (1, 2, 3)
 
 
@@ -145,11 +145,6 @@ def test_classify_prime_and_binary_flags():
     assert not flags.alphabetically_ordered
 
 
-def test_classify_rejects_small_oracle_budget():
-    with pytest.raises(ValueError):
-        classify(sum_measure(ABC, 1, 2, 3), oracle_max_len=3)
-
-
 # --- gapfreeness decision ----------------------------------------------------
 
 
@@ -169,20 +164,20 @@ def test_gapful_sum_measures():
 
 
 def test_standard_measure_is_gapfree():
-    assert is_gapfree(standard_measure(ABC))
-    assert is_gapfree(standard_measure(Alphabet(("a", "b", "c", "d", "e"))))
+    assert find_gap(standard_measure(ABC)) is None
+    assert find_gap(standard_measure(Alphabet(("a", "b", "c", "d", "e")))) is None
 
 
 def test_geometric_product_measure_is_gapfree_but_unstepped():
     # 6*6 == 4*9, so the single triple passes, yet 6/4 is not an integer.
     measure = product_measure(ABC, 4, 6, 9)
-    assert is_gapfree(measure)
+    assert find_gap(measure) is None
     assert stepped_step(measure) is None
 
 
 def test_non_injective_measures_decide_through_projection():
-    assert is_gapfree(sum_measure(ANCB, 1, 2, 2, 3))
-    assert not is_gapfree(sum_measure(Alphabet(("a", "b", "c", "d")), 1, 1, 2, 4))
+    assert find_gap(sum_measure(ANCB, 1, 2, 2, 3)) is None
+    assert find_gap(sum_measure(Alphabet(("a", "b", "c", "d")), 1, 1, 2, 4)) is not None
 
 
 # --- stepped detection -------------------------------------------------------
@@ -211,14 +206,14 @@ def test_stepped_vector_measure():
         ABC, MonoidKind.VEC2_LEX, ((1, 0), (2, 1), (3, 2))
     )
     assert stepped_step(measure).payload == (1, 1)
-    assert is_gapfree(measure)
+    assert find_gap(measure) is None
 
 
 # --- projection --------------------------------------------------------------
 
 
 def test_project_merges_equal_weights():
-    projected = project(sum_measure(ANCB, 1, 2, 2, 3))
+    projected = sum_measure(ANCB, 1, 2, 2, 3).projected
     assert projected.measure.alphabet.letters == ("{a}", "{n,c}", "{b}")
     assert projected.measure.payloads == (1, 2, 3)
     assert projected.class_sizes() == (1, 2, 1)
@@ -226,28 +221,42 @@ def test_project_merges_equal_weights():
 
 
 def test_project_injective_measure_is_identity_partition():
-    projected = project(sum_measure(ANB, 1, 2, 3))
+    projected = sum_measure(ANB, 1, 2, 3).projected
     assert projected.class_sizes() == (1, 1, 1)
     assert projected.measure.alphabet.letters == ("{a}", "{n}", "{b}")
 
 
 def test_project_all_equal_weights():
-    projected = project(sum_measure(ABC, 2, 2, 2))
+    projected = sum_measure(ABC, 2, 2, 2).projected
     assert len(projected.measure.alphabet) == 1
     assert projected.class_sizes() == (3,)
 
 
 def test_project_word_examples():
     measure = sum_measure(ANCB, 1, 2, 2, 3)
-    projected = project(measure)
+    projected = measure.projected
     assert str(projected.project_word(w(ANCB, "nanaba"))) == "{n,c}{a}{n,c}{a}{b}{a}"
     assert str(projected.project_word(w(ANCB, "banana"))) == "{b}{a}{n,c}{a}{n,c}{a}"
     assert len(projected.project_word(w(ANCB, ""))) == 0
+    with pytest.raises(ValueError, match="different alphabet"):
+        projected.project_word(w(ANB, "nab"))
+
+
+def test_projection_cache_leaves_no_cyclic_garbage():
+    # The projection is cached on the measure; a reference back to the
+    # measure would keep both alive until a full collection.
+    gc.collect()
+    gc.disable()
+    try:
+        assert sum_measure(ANCB, 1, 2, 2, 3).projected.class_sizes() == (1, 2, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_projection_preserves_weight():
     measure = sum_measure(ANCB, 1, 2, 2, 3)
-    projected = project(measure)
+    projected = measure.projected
     for text in ("nanaba", "bcbc", "a", ""):
         word = w(ANCB, text)
         assert projected.measure.weight_payload(projected.project_word(word)) == measure.weight_payload(word)
@@ -385,6 +394,6 @@ def test_classification_invariants(measure):
     assert flags.gapfree == (flags.gap_witness is None)
     if flags.stepped is not None:
         assert flags.gapfree
-    projected = project(measure)
+    projected = measure.projected
     assert len(set(projected.measure.payloads)) == len(projected.measure.payloads)
     assert flags.injective == (len(projected.measure.alphabet) == len(measure.alphabet))

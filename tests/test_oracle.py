@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -24,6 +25,7 @@ from prefixnorm import (
     suite_names,
     verify_trichotomy,
 )
+from prefixnorm import oracle
 from prefixnorm.oracle import classic_max_ones, classic_prefix_ones, is_prefix_normal_classic
 
 
@@ -115,6 +117,7 @@ def test_verify_trichotomy_fixtures(payloads):
     alphabet = Alphabet(tuple("abcd"[: len(payloads)]))
     report = verify_trichotomy(sum_measure(alphabet, *payloads), max_len=4)
     assert report.passed, report.violations
+    assert report.params["measure"].startswith("measure[nat-sum")
 
 
 def test_count_binary_prefix_normal_small_values():
@@ -175,6 +178,18 @@ def test_run_suite_rejects_unknown_names():
         run_suite("no-such-suite")
 
 
+def test_run_suite_rejects_unknown_parameters():
+    with pytest.raises(ValueError, match="max_lenn"):
+        run_suite("trichotomy", max_lenn=2)
+
+
+def test_run_suite_passes_shared_parameters_only_where_declared():
+    # The CLI hands --max-len and --cases to every suite; exchange takes only cases.
+    report = run_suite("exchange", cases=5, max_len=3)
+    assert report.passed
+    assert report.params == {"cases": 5}
+
+
 def test_suite_registry_contents():
     names = suite_names()
     for expected in (
@@ -223,10 +238,22 @@ def test_report_rendering_formats():
     assert lines[0] == f"SUITE prime-gapful CASES {report.cases} VIOLATIONS 0"
     text = report.render("text")
     assert text.startswith("prime-gapful: pass")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.cases = 0
 
 
-def test_reports_are_replayable_on_forced_failure():
-    # A deliberately wrong expectation exercises the counterexample format.
-    report = verify_trichotomy(sum_measure(ABC, 1, 2, 4), max_len=4)
-    assert report.passed
-    assert report.params["measure"].startswith("measure[nat-sum")
+def test_reports_are_replayable_on_forced_failure(monkeypatch):
+    # Conditions that never agree fail every case; the lines pin the draw
+    # order (a measure, then a word) and the counterexample format.
+    disagree = (True, False, True, True)
+    monkeypatch.setattr(oracle, "normality_conditions", lambda measure, word: disagree)
+    report = run_suite("pn-equivalences", seed=5, cases=3)
+    assert not report.passed
+    assert report.violations == (
+        "measure[nat-sum; letters a b; weights 6 7] | word  | "
+        "conditions disagree: (True, False, True, True)",
+        "measure[nat-product; letters a b c; weights 9 10 11] | word bb | "
+        "conditions disagree: (True, False, True, True)",
+        "measure[nat-product; letters a b; weights 8 3] | word abbbb | "
+        "conditions disagree: (True, False, True, True)",
+    )
