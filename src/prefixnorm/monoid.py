@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from operator import add, mul
 
 
 class MonoidKind(enum.Enum):
@@ -42,21 +43,13 @@ _IDENTITY: dict[MonoidKind, Payload] = {
 }
 
 
-def _add(a, b):
-    return a + b
-
-
-def _mul(a, b):
-    return a * b
-
-
 def _vec_add(a, b):
     return (a[0] + b[0], a[1] + b[1])
 
 
 _COMBINE = {
-    MonoidKind.NAT_SUM: _add,
-    MonoidKind.NAT_PRODUCT: _mul,
+    MonoidKind.NAT_SUM: add,
+    MonoidKind.NAT_PRODUCT: mul,
     MonoidKind.VEC2_LEX: _vec_add,
 }
 

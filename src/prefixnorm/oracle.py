@@ -13,8 +13,10 @@ import inspect
 import itertools
 import random
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import CapacityExceeded
 from .measure import (
@@ -45,12 +47,20 @@ class SweepReport:
 
     ``violations`` holds one replayable line per counterexample (measure,
     word, and what went wrong); an empty tuple means the sweep passed.
+    ``params`` is stored as a read-only mapping.
     """
 
     suite: str
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
     cases: int = 0
     violations: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled; rebuild the report from a plain dict.
+        return (SweepReport, (self.suite, dict(self.params), self.cases, self.violations))
 
     @property
     def passed(self) -> bool:
@@ -71,6 +81,28 @@ class SweepReport:
         return "\n".join([head, *(f"  counterexample: {line}" for line in self.violations)])
 
 
+def _running_factor_max(letter_weights, indices, ident, comb):
+    """Per-length factor maxima and leftmost starts, by a running combine from every start.
+
+    The definitional kernel of the brute oracles, kept apart from the fast
+    ``profile.factor_max_payloads`` so that the two check each other.
+    """
+    n = len(indices)
+    best = [None] * (n + 1)
+    best[0] = ident
+    starts = [0] * (n + 1)
+    for start in range(n):
+        acc = ident
+        for end in range(start + 1, n + 1):
+            acc = comb(acc, letter_weights[indices[end - 1]])
+            size = end - start
+            cur = best[size]
+            if cur is None or cur < acc:
+                best[size] = acc
+                starts[size] = start
+    return best, starts
+
+
 def brute_gap_search(measure: WeightMeasure, max_len: int) -> Gap | None:
     """First definitional gap in (length, lexicographic, index) order, if any."""
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
@@ -78,7 +110,7 @@ def brute_gap_search(measure: WeightMeasure, max_len: int) -> Gap | None:
     size = len(measure.alphabet)
     for length in range(1, max_len + 1):
         for combo in itertools.product(range(size), repeat=length):
-            f, _ = factor_max_payloads(ws, combo, ident, comb)
+            f, _ = _running_factor_max(ws, combo, ident, comb)
             for i in range(1, length + 1):
                 prev, target = f[i - 1], f[i]
                 if not any(comb(prev, b) == target for b in base):
@@ -90,12 +122,12 @@ def brute_equivalence_class(measure: WeightMeasure, word: Word) -> set[Word]:
     """Every same-length word whose factor-weight profile equals the word's, by full scan."""
     measure.check_word(word)
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-    target, _ = factor_max_payloads(ws, word.indices, ident, comb)
+    target, _ = _running_factor_max(ws, word.indices, ident, comb)
     size = len(measure.alphabet)
     return {
         Word(measure.alphabet, combo)
         for combo in itertools.product(range(size), repeat=len(word.indices))
-        if factor_max_payloads(ws, combo, ident, comb)[0] == target
+        if _running_factor_max(ws, combo, ident, comb)[0] == target
     }
 
 
@@ -103,7 +135,7 @@ def brute_prefix_normal_set(measure: WeightMeasure, word: Word) -> set[Word]:
     """Filter the full factor-weight class of the word by the PN predicate."""
     members = brute_equivalence_class(measure, word)
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-    target, _ = factor_max_payloads(ws, word.indices, ident, comb)
+    target, _ = _running_factor_max(ws, word.indices, ident, comb)
     return {m for m in members if prefix_payloads(ws, m.indices, ident, comb) == target}
 
 
@@ -127,7 +159,7 @@ def verify_trichotomy(measure: WeightMeasure, max_len: int = 5) -> SweepReport:
     for length in range(1, max_len + 1):
         groups: dict[tuple, list] = {}
         for combo in itertools.product(range(size), repeat=length):
-            f, _ = factor_max_payloads(ws, combo, ident, comb)
+            f, _ = _running_factor_max(ws, combo, ident, comb)
             cases += 1
             key = tuple(f)
             group = groups.get(key)
@@ -751,7 +783,8 @@ def suite_names() -> tuple[str, ...]:
 def run_suite(suite: str, seed: int = DEFAULT_SEED, **params) -> SweepReport:
     """Run one registered sweep.
 
-    Unknown suite names and parameter names that no suite declares are usage
+    Unknown suite names, parameter names that no suite declares, and a
+    ``cases`` or ``max_len`` below 1 (a sweep over no words) are usage
     errors.  Each suite gets only the parameters it declares (None meaning its
     default), so the CLI can pass ``max_len`` and ``cases`` to every suite.
     """
@@ -767,6 +800,10 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED, **params) -> SweepReport:
             f"unknown sweep parameter {', '.join(map(repr, unknown))} "
             f"(suites take: {', '.join(sorted(_SUITE_PARAMETERS))})"
         )
+    for name in ("cases", "max_len"):
+        value = params.get(name)
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     declared = inspect.signature(runner).parameters
     params = {k: v for k, v in params.items() if v is not None and k in declared}
     return runner(seed=seed, **params)

@@ -1,7 +1,9 @@
 """Factor-weight and prefix-weight profiles and the prefix-normal predicate.
 
-The raw helpers at the top operate on bare payloads and are shared by the
-brute-force oracles; the public API wraps results into MonoidValue.
+The raw helpers at the top operate on bare payloads: ``factor_max_payloads``
+is the O(n^2) kernel under every fast path (a running combine from every
+start, with vec2-lex pairs folded into ints).  The brute-force oracles keep
+their own definitional loop.  The public API wraps results into MonoidValue.
 """
 
 from __future__ import annotations
@@ -9,36 +11,53 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import add
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import OutOfRange
-from .monoid import MonoidValue
+from .monoid import MonoidKind, MonoidValue, payload_combine
 
 if TYPE_CHECKING:
     from .measure import Word, WeightMeasure
 
+_VEC_ADD = payload_combine(MonoidKind.VEC2_LEX)
+
 
 def factor_max_payloads(letter_weights: Sequence, indices: Sequence[int], ident, comb):
-    """Per-length maximum factor weight, via running combines from every start.
+    """Per-length maximum factor weight and the leftmost start realising it.
 
-    Combine-only: no inverse operation is assumed, so the same loop serves
-    sums, products, and vector carriers alike.  O(n^2) combines.  Returns
-    the profile list (index 0 holds the identity) and, for each length,
-    the leftmost start offset realising the maximum.
+    Returns the profile list (index 0 holds the identity) and, for each
+    length, the leftmost start offset of a factor of that length with the
+    maximum weight.  Start-major: a running combine from every start, one
+    letter per step, so O(n^2) combines and one running value alive at a
+    time.  Only combines are used, no inverse.
+
+    vec2-lex pairs are folded into ints ``a * M + b`` for the kernel only,
+    with ``M`` one more than the word's total second component.  No window
+    sum can carry into the first component, so the ints order exactly as
+    the pairs do lexicographically, and ``operator.add`` combines them in C;
+    the maxima are decoded with ``divmod``.
     """
-    n = len(indices)
-    best = [None] * (n + 1)
-    best[0] = ident
+    letters = [letter_weights[i] for i in indices]
+    scale = 0
+    if comb is _VEC_ADD:
+        scale = sum(b for _, b in letters) + 1
+        letters = [a * scale + b for a, b in letters]
+        ident, comb = 0, add
+    # Every window weighs at least the identity, the minimum of every carrier,
+    # so a strictly heavier window is the first to beat the initial entry.
+    n = len(letters)
+    best = [ident] * (n + 1)
     starts = [0] * (n + 1)
     for start in range(n):
         acc = ident
-        for end in range(start + 1, n + 1):
-            acc = comb(acc, letter_weights[indices[end - 1]])
-            size = end - start
-            cur = best[size]
-            if cur is None or cur < acc:
+        for size, weight in enumerate(letters[start:], 1):
+            acc = comb(acc, weight)
+            if best[size] < acc:
                 best[size] = acc
                 starts[size] = start
+    if scale:
+        best = [divmod(v, scale) for v in best]
     return best, starts
 
 

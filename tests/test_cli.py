@@ -162,6 +162,22 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["verify", "subadditivity", "--cases", "-5"], "cases"),
+        (["verify", "binary-reduction", "--max-len", "0"], "max_len"),
+        (["verify", "subadditivity", "--max-len", "-1"], "max_len"),
+    ],
+)
+def test_verify_over_no_cases_is_usage_error(capsys, argv, name):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{name} must be at least 1" in captured.err
+
+
 def test_verify_seed_defaults_to_environment(capsys, monkeypatch):
     monkeypatch.setenv("PREFIXNORM_SEED", "12345")
     code = main(["verify", "prime-gapful", "--format", "lines"])

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import gc
 import itertools
+import pickle
 import random
 
 import pytest
@@ -20,6 +22,7 @@ from prefixnorm import (
     find_gap,
     gap_indexes,
     prefix_normal_set,
+    SweepReport,
     run_suite,
     standard_measure,
     suite_names,
@@ -190,6 +193,13 @@ def test_run_suite_passes_shared_parameters_only_where_declared():
     assert report.params == {"cases": 5}
 
 
+@pytest.mark.parametrize("name", ["cases", "max_len"])
+@pytest.mark.parametrize("size", [0, -1])
+def test_run_suite_rejects_sweeps_over_nothing(name, size):
+    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        run_suite("subadditivity", **{name: size})
+
+
 def test_suite_registry_contents():
     names = suite_names()
     for expected in (
@@ -240,6 +250,18 @@ def test_report_rendering_formats():
     assert text.startswith("prime-gapful: pass")
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.cases = 0
+    with pytest.raises(TypeError):
+        report.params["prime_bound"] = 99
+    assert report.render("text") == text
+    assert text.endswith("; prime_bound=20)")
+
+
+def test_report_survives_pickle_and_deepcopy():
+    report = SweepReport("demo", {"cases": 5}, cases=5, violations=("x",))
+    for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert copied == report
+        with pytest.raises(TypeError):
+            copied.params["cases"] = 6
 
 
 def test_reports_are_replayable_on_forced_failure(monkeypatch):

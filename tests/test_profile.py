@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -15,8 +16,9 @@ from prefixnorm import (
     subset_measure,
     weight_profile,
 )
-from prefixnorm.monoid import MonoidKind
-from prefixnorm.oracle import classic_max_ones, is_prefix_normal_classic
+from prefixnorm.monoid import MonoidKind, payload_combine, payload_identity
+from prefixnorm.oracle import _running_factor_max, classic_max_ones, is_prefix_normal_classic
+from prefixnorm.profile import factor_max_payloads
 
 MU = sum_measure(ANB, 1, 2, 3)
 
@@ -178,3 +180,63 @@ def test_prefix_normal_iff_profile_equality_on_exhaustive_small_words():
             word = Word(ANCB, combo)
             profile = weight_profile(measure, word)
             assert is_prefix_normal(measure, word) == (profile.prefix == profile.factor_max)
+
+
+# --- the fast kernel against the oracle's running-combine loop ---------------
+
+# Small weights collide (non-injective sums); second components of 1000
+# outweigh every first-component total, so a fold of pairs into ints with
+# too small a scale orders some windows wrongly.
+_KERNEL_WEIGHTS = {
+    MonoidKind.NAT_SUM: st.integers(0, 3),
+    MonoidKind.NAT_PRODUCT: st.integers(1, 6),
+    MonoidKind.VEC2_LEX: st.tuples(st.sampled_from((0, 1, 2)), st.sampled_from((0, 1, 2, 1000))),
+}
+
+
+def _kernel_case(kind):
+    return st.tuples(
+        st.lists(_KERNEL_WEIGHTS[kind], min_size=1, max_size=4), st.integers(0, 80)
+    ).flatmap(
+        lambda drawn: st.tuples(
+            st.just(kind),
+            st.just(tuple(drawn[0])),
+            st.lists(
+                st.integers(0, len(drawn[0]) - 1), min_size=drawn[1], max_size=drawn[1]
+            ).map(tuple),
+        )
+    )
+
+
+def _both_kernels(kind, weights, indices):
+    args = (weights, indices, payload_identity(kind), payload_combine(kind))
+    return factor_max_payloads(*args), _running_factor_max(*args)
+
+
+@given(st.sampled_from(list(MonoidKind)).flatmap(_kernel_case))
+def test_kernel_matches_running_combine_loop(case):
+    fast, reference = _both_kernels(*case)
+    assert fast == reference
+
+
+def test_kernel_vec2_fold_outweighed_by_second_components():
+    # (1,1) outranks (0,2000); folding pairs with a scale no larger than a
+    # window's second-component total misorders or misdecodes such windows.
+    weights = ((0, 1000), (1, 0), (0, 1))
+    for indices in itertools.product(range(3), repeat=7):
+        fast, reference = _both_kernels(MonoidKind.VEC2_LEX, weights, indices)
+        assert fast == reference
+    (best, starts), _ = _both_kernels(MonoidKind.VEC2_LEX, weights, (1, 2) + (0,) * 18)
+    assert best[:5] == [(0, 0), (1, 0), (1, 1), (1, 1001), (1, 2001)]
+    assert best[20] == (1, 18001)
+    assert starts == [0] * 21
+
+
+def test_kernel_pins_a_long_vec2_word():
+    weights = ((0, 3), (1, 1), (1, 2), (2, 0), (0, 1000))
+    indices = tuple(random.Random(300).randrange(len(weights)) for _ in range(300))
+    (best, starts), reference = _both_kernels(MonoidKind.VEC2_LEX, weights, indices)
+    assert (best, starts) == reference
+    total = (sum(weights[i][0] for i in indices), sum(weights[i][1] for i in indices))
+    assert best[300] == total and starts[300] == 0
+    assert len(best) == len(starts) == 301
