@@ -43,6 +43,11 @@ class Alphabet:
                 raise ValueError(
                     f"bad letter token {token!r}: tokens are non-empty and contain no whitespace"
                 )
+            if token.startswith("#"):
+                raise ValueError(
+                    f"bad letter token {token!r}: a token starting with '#' reads as a "
+                    f"comment in a measure spec"
+                )
             if token in seen:
                 raise ValueError(f"duplicate letter {token!r}")
             seen.add(token)
@@ -93,9 +98,7 @@ class Word:
                 pass  # fall through to the delimited forms
         if text in alphabet.letters:
             return cls.from_tokens(alphabet, [text])
-        if "," in text:
-            return cls.from_tokens(alphabet, text.split(","))
-        return cls.from_tokens(alphabet, [text])
+        return cls.from_tokens(alphabet, text.split(","))
 
     @classmethod
     def from_tokens(cls, alphabet: Alphabet, tokens) -> "Word":

@@ -277,40 +277,33 @@ def _fixture_measures() -> list[WeightMeasure]:
     ]
 
 
-def _random_measure(
-    rng: random.Random,
-    min_letters: int = 2,
-    max_letters: int = 4,
-    sum_max: int = 8,
-    product_max: int = 13,
-    vec_max: int = 4,
-) -> WeightMeasure:
-    size = rng.randint(min_letters, max_letters)
+def _random_measure(rng: random.Random) -> WeightMeasure:
+    size = rng.randint(2, 4)
     alphabet = Alphabet(tuple("abcd"[:size]))
     roll = rng.random()
     if roll < 0.45:
         kind = MonoidKind.NAT_SUM
-        payloads = [rng.randint(1, sum_max) for _ in range(size)]
+        payloads = [rng.randint(1, 8) for _ in range(size)]
     elif roll < 0.80:
         kind = MonoidKind.NAT_PRODUCT
-        payloads = [rng.randint(2, product_max) for _ in range(size)]
+        payloads = [rng.randint(2, 13) for _ in range(size)]
     else:
         kind = MonoidKind.VEC2_LEX
         payloads = []
         for _ in range(size):
             pair = (0, 0)
             while pair == (0, 0):
-                pair = (rng.randint(0, vec_max), rng.randint(0, vec_max))
+                pair = (rng.randint(0, 4), rng.randint(0, 4))
             payloads.append(pair)
     return WeightMeasure.from_payloads(alphabet, kind, payloads)
 
 
 @lru_cache(maxsize=8)
-def corpus_measures(seed: int = DEFAULT_SEED, count: int = 220) -> tuple[WeightMeasure, ...]:
-    """Fixed fixtures plus seeded random measures; deterministic per seed."""
+def corpus_measures(seed: int = DEFAULT_SEED) -> tuple[WeightMeasure, ...]:
+    """The fixed fixtures, then seeded random measures up to 220; deterministic per seed."""
     rng = random.Random(seed)
     measures = _fixture_measures()
-    while len(measures) < count:
+    while len(measures) < 220:
         measures.append(_random_measure(rng))
     return tuple(measures)
 
@@ -319,7 +312,7 @@ def corpus_measures(seed: int = DEFAULT_SEED, count: int = 220) -> tuple[WeightM
 # Suites
 
 
-def _word_sweep(suite: str, check, default_max_len: int = 6):
+def _word_sweep(check, default_max_len: int = 6):
     """A suite that runs ``check(measure, indices)`` on seeded random cases.
 
     Each case draws a measure from a seeded pool of 200, then a word of at
@@ -327,12 +320,11 @@ def _word_sweep(suite: str, check, default_max_len: int = 6):
     becomes one replayable counterexample line.
     """
 
-    def run(seed: int, cases: int = 10_000, max_len: int = default_max_len) -> SweepReport:
+    def run(seed: int, cases: int = 10_000, max_len: int = default_max_len):
         rng = random.Random(seed)
         pool = [_random_measure(rng) for _ in range(200)]
         violations: list[str] = []
-        drawn = range(cases)
-        for _ in drawn:
+        for _ in range(cases):
             measure = rng.choice(pool)
             length = rng.randint(0, max_len)
             idx = tuple(rng.randrange(len(measure.alphabet)) for _ in range(length))
@@ -341,9 +333,7 @@ def _word_sweep(suite: str, check, default_max_len: int = 6):
                 violations.append(
                     f"{measure_line(measure)} | word {Word(measure.alphabet, idx)} | {problem}"
                 )
-        return SweepReport(
-            suite, {"cases": cases, "max_len": max_len}, len(drawn), tuple(violations)
-        )
+        return cases, violations
 
     return run
 
@@ -479,12 +469,12 @@ def _suite_exchange(seed: int, cases: int = 10_000):
                             f"{measure_line(measure)} | positions i={i} x={x} y={y} | "
                             f"exchange identity broken"
                         )
-    return SweepReport("exchange", {"cases": cases}, done, tuple(violations))
+    return done, violations
 
 
-def _suite_prime_gapful(seed: int, prime_bound: int = 20):
-    """Every product measure with three distinct prime weights has a gap."""
-    primes = [p for p in range(2, prime_bound + 1) if all(p % d for d in range(2, p))]
+def _suite_prime_gapful(seed: int):
+    """Every product measure with three distinct prime weights up to 20 has a gap."""
+    primes = [p for p in range(2, 21) if all(p % d for d in range(2, p))]
     alphabet = Alphabet(("a", "b", "c"))
     violations: list[str] = []
     cases = 0
@@ -499,7 +489,7 @@ def _suite_prime_gapful(seed: int, prime_bound: int = 20):
             violations.append(f"{measure_line(measure)} | witness {gap.word} not a real gap")
         if brute_gap_search(measure, 4) is None:
             violations.append(f"{measure_line(measure)} | brute force found no gap by length 4")
-    return SweepReport("prime-gapful", {"prime_bound": prime_bound}, cases, tuple(violations))
+    return cases, violations
 
 
 def _suite_vector_gapfree(seed: int, max_len: int = 6):
@@ -516,7 +506,7 @@ def _suite_vector_gapfree(seed: int, max_len: int = 6):
     if brute is not None:
         violations.append(f"{measure_line(measure)} | brute force found a gap at {brute.word}")
     cases = sum(3 ** n for n in range(1, max_len + 1)) + 2
-    return SweepReport("vector-gapfree", {"max_len": max_len}, cases, tuple(violations))
+    return cases, violations
 
 
 def _steps_exist(kind: MonoidKind, distinct: list) -> bool:
@@ -556,27 +546,25 @@ def _suite_stepped_gapfree(seed: int, cases: int = 3_000):
                 violations.append(
                     f"{measure_line(measure)} | gapfree={gapfree} but stepped={step}"
                 )
-    return SweepReport("stepped-gapfree", {"cases": cases}, done, tuple(violations))
+    return done, violations
 
 
-def _suite_trichotomy(seed: int, max_len: int = 5, corpus_size: int = 220):
+def _suite_trichotomy(seed: int, max_len: int = 5):
     """Class-count predictions versus brute force over the whole corpus."""
     violations: list[str] = []
     cases = 0
-    for measure in corpus_measures(seed, corpus_size):
+    for measure in corpus_measures(seed):
         report = verify_trichotomy(measure, max_len)
         cases += report.cases
         violations.extend(report.violations)
-    return SweepReport(
-        "trichotomy", {"max_len": max_len, "corpus_size": corpus_size}, cases, tuple(violations)
-    )
+    return cases, violations
 
 
-def _suite_gap_decision(seed: int, max_len: int = 6, corpus_size: int = 220):
+def _suite_gap_decision(seed: int, max_len: int = 6):
     """Fast gapfreeness decision versus exhaustive search, witness shape included."""
     violations: list[str] = []
     cases = 0
-    for measure in corpus_measures(seed, corpus_size):
+    for measure in corpus_measures(seed):
         cases += 1
         fast = find_gap(measure)
         brute = brute_gap_search(measure, max_len)
@@ -601,9 +589,7 @@ def _suite_gap_decision(seed: int, max_len: int = 6, corpus_size: int = 220):
             violations.append(f"{line} | witness {witness} is not high-low-high-mid shaped")
         elif fast.index not in gap_indexes(measure, witness):
             violations.append(f"{line} | witness {witness} fails the definitional gap check")
-    return SweepReport(
-        "gap-decision", {"max_len": max_len, "corpus_size": corpus_size}, cases, tuple(violations)
-    )
+    return cases, violations
 
 
 def _all_words(alphabet: Alphabet, max_len: int):
@@ -613,22 +599,17 @@ def _all_words(alphabet: Alphabet, max_len: int):
             yield Word(alphabet, combo)
 
 
-def _suite_equivalence(
-    seed: int,
-    max_len: int = 6,
-    pnf_len: int = 5,
-    corpus_size: int = 220,
-    pair_sample: int = 60,
-):
+def _suite_equivalence(seed: int, max_len: int = 6):
     """Equivalence of gapfree injective weight-ordered measures.
 
     The sum measure (2,4,6) and the product measure (2,6,18) must be
-    equivalent up to the bound.  Every corpus measure that is gapfree,
+    equivalent up to ``max_len``.  Every corpus measure that is gapfree,
     injective, and alphabetically ordered must be equivalent to the
-    standard measure of its alphabet (hence, by transitivity, to each
-    other) and must produce the standard normal form for every word up to
-    ``pnf_len``.  Sampled equivalent pairs must also agree on the
-    injective / ordered / gapfree flags.
+    standard measure of its alphabet up to ``max_len`` (hence, by
+    transitivity, to each other) and must produce the standard normal form
+    for every word of at most 5 letters.  Equivalent pairs among 60 sampled
+    from one alphabet must also agree on the injective / ordered / gapfree
+    flags, compared up to length 4.
     """
     violations: list[str] = []
     cases = 0
@@ -642,7 +623,7 @@ def _suite_equivalence(
             f"expected equivalence up to length {max_len}"
         )
 
-    measures = corpus_measures(seed, corpus_size)
+    measures = corpus_measures(seed)
     groups: dict[tuple[str, ...], list[WeightMeasure]] = {}
     for measure in measures:
         groups.setdefault(measure.alphabet.letters, []).append(measure)
@@ -669,13 +650,12 @@ def _suite_equivalence(
                 continue
             if std_forms is None:
                 std_forms = {
-                    w.indices: prefix_normal_form(std, w)
-                    for w in _all_words(alphabet, pnf_len)
+                    w.indices: prefix_normal_form(std, w) for w in _all_words(alphabet, 5)
                 }
-            for word in _all_words(alphabet, pnf_len):
+            for indices, reference in std_forms.items():
                 cases += 1
+                word = Word(alphabet, indices)
                 mine = prefix_normal_form(measure, word)
-                reference = std_forms[word.indices]
                 same = (
                     isinstance(mine, UniqueNormalForm)
                     and isinstance(reference, UniqueNormalForm)
@@ -690,7 +670,7 @@ def _suite_equivalence(
 
     # Sampled equivalent pairs keep their classification flags in sync.
     eligible = [letters for letters in sorted(groups) if len(groups[letters]) >= 2]
-    for _ in range(pair_sample):
+    for _ in range(60):
         if not eligible:
             break
         letters = rng.choice(eligible)
@@ -708,12 +688,7 @@ def _suite_equivalence(
                     f"{measure_line(first)} vs {measure_line(second)} | equivalent pair "
                     f"with diverging classifications"
                 )
-    return SweepReport(
-        "equivalence",
-        {"max_len": max_len, "pnf_len": pnf_len, "corpus_size": corpus_size},
-        cases,
-        tuple(violations),
-    )
+    return cases, violations
 
 
 def _suite_binary_reduction(seed: int, max_len: int = 12):
@@ -752,16 +727,16 @@ def _suite_binary_reduction(seed: int, max_len: int = 12):
                 f"length {length} | counts disagree: op={counted} "
                 f"classic={classic_count} weighted={weighted_count}"
             )
-    return SweepReport("binary-reduction", {"max_len": max_len}, cases, tuple(violations))
+    return cases, violations
 
 
 _SUITES = {
-    "position-functions": _word_sweep("position-functions", _check_position_functions),
-    "subadditivity": _word_sweep("subadditivity", _check_subadditivity),
-    "pn-equivalences": _word_sweep("pn-equivalences", _check_pn_equivalences, 5),
+    "position-functions": _word_sweep(_check_position_functions),
+    "subadditivity": _word_sweep(_check_subadditivity),
+    "pn-equivalences": _word_sweep(_check_pn_equivalences, 5),
     "exchange": _suite_exchange,
     "prime-gapful": _suite_prime_gapful,
-    "projection": _word_sweep("projection", _check_projection),
+    "projection": _word_sweep(_check_projection),
     "vector-gapfree": _suite_vector_gapfree,
     "stepped-gapfree": _suite_stepped_gapfree,
     "trichotomy": _suite_trichotomy,
@@ -781,12 +756,15 @@ def suite_names() -> tuple[str, ...]:
 
 
 def run_suite(suite: str, seed: int = DEFAULT_SEED, **params) -> SweepReport:
-    """Run one registered sweep.
+    """Run one registered sweep and report it.
 
-    Unknown suite names, parameter names that no suite declares, and a
-    ``cases`` or ``max_len`` below 1 (a sweep over no words) are usage
-    errors.  Each suite gets only the parameters it declares (None meaning its
-    default), so the CLI can pass ``max_len`` and ``cases`` to every suite.
+    A suite declares its sizes, ``cases`` and/or ``max_len``, as parameters
+    after ``seed`` and returns ``(cases, violations)``.  Unknown suite names,
+    parameter names that no suite declares, and a ``cases`` or ``max_len``
+    below 1 (a sweep over no words) are usage errors.  Each suite gets only
+    the sizes it declares (None meaning its default), so the CLI can pass
+    ``max_len`` and ``cases`` to every suite; the report's ``params`` are
+    exactly the sizes the suite ran with.
     """
     try:
         runner = _SUITES[suite]
@@ -804,6 +782,11 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED, **params) -> SweepReport:
         value = params.get(name)
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    declared = inspect.signature(runner).parameters
-    params = {k: v for k, v in params.items() if v is not None and k in declared}
-    return runner(seed=seed, **params)
+    signature = inspect.signature(runner)
+    bound = signature.bind(
+        seed, **{k: v for k, v in params.items() if v is not None and k in signature.parameters}
+    )
+    bound.apply_defaults()
+    cases, violations = runner(*bound.args, **bound.kwargs)
+    sizes = {k: v for k, v in bound.arguments.items() if k != "seed"}
+    return SweepReport(suite, sizes, cases, tuple(violations))

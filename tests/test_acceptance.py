@@ -113,19 +113,19 @@ def test_criterion_3_gap_fixtures():
 
 
 def test_criterion_4_trichotomy_sweep():
-    measures = corpus_measures(DEFAULT_SEED, 220)
-    report = run_suite("trichotomy", seed=DEFAULT_SEED, max_len=5, corpus_size=220)
+    measures = corpus_measures(DEFAULT_SEED)
+    report = run_suite("trichotomy", seed=DEFAULT_SEED, max_len=5)
     ok = len(measures) >= 200 and report.passed
     _report("criterion 4: trichotomy sweep", ok, report.summary_line())
 
 
 def test_criterion_5_gap_decision_agreement():
-    report = run_suite("gap-decision", seed=DEFAULT_SEED, max_len=6, corpus_size=220)
+    report = run_suite("gap-decision", seed=DEFAULT_SEED, max_len=6)
     _report("criterion 5: gap decision agreement", report.passed, report.summary_line())
 
 
 def test_criterion_6_equivalence_suite():
-    report = run_suite("equivalence", seed=DEFAULT_SEED, max_len=6, pnf_len=5, corpus_size=220)
+    report = run_suite("equivalence", seed=DEFAULT_SEED, max_len=6)
     _report("criterion 6: equivalence suite", report.passed, report.summary_line())
 
 
@@ -134,7 +134,7 @@ def test_criterion_7_theorem_suites():
         run_suite("position-functions", seed=DEFAULT_SEED, cases=10_000),
         run_suite("subadditivity", seed=DEFAULT_SEED, cases=10_000),
         run_suite("pn-equivalences", seed=DEFAULT_SEED, cases=10_000),
-        run_suite("prime-gapful", seed=DEFAULT_SEED, prime_bound=20),
+        run_suite("prime-gapful", seed=DEFAULT_SEED),
         run_suite("vector-gapfree", seed=DEFAULT_SEED, max_len=6),
     ]
     randomized = reports[:3]

@@ -39,6 +39,8 @@ def test_alphabet_rejects_bad_tokens():
         Alphabet(("a", "b c"))
     with pytest.raises(ValueError):
         Alphabet(("a", ""))
+    with pytest.raises(ValueError, match="comment"):
+        Alphabet(("#a", "b"))
 
 
 def test_word_parse_single_characters():
@@ -352,6 +354,31 @@ def test_parse_measure_text_vector_values():
 
 def test_measure_text_roundtrip():
     measure = parse_measure_text(SPEC_OK)
+    assert parse_measure_text(measure_text(measure)) == measure
+
+
+spec_tokens = st.text(st.sampled_from("ab#{},=") | st.characters(), min_size=1, max_size=4)
+spec_payloads = {
+    MonoidKind.NAT_SUM: st.integers(1, 10**6),
+    MonoidKind.NAT_PRODUCT: st.integers(2, 10**6),
+    MonoidKind.VEC2_LEX: st.tuples(st.integers(0, 50), st.integers(0, 50)).filter(
+        lambda pair: pair != (0, 0)
+    ),
+}
+
+
+@given(
+    st.lists(spec_tokens, min_size=1, max_size=5, unique=True),
+    st.sampled_from(MonoidKind),
+    st.data(),
+)
+def test_every_accepted_measure_round_trips_through_its_spec(tokens, kind, data):
+    try:
+        alphabet = Alphabet(tuple(tokens))
+    except ValueError:
+        return  # a token the alphabet refuses never reaches a spec
+    payloads = data.draw(st.lists(spec_payloads[kind], min_size=len(tokens), max_size=len(tokens)))
+    measure = WeightMeasure.from_payloads(alphabet, kind, payloads)
     assert parse_measure_text(measure_text(measure)) == measure
 
 

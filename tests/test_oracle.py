@@ -169,11 +169,12 @@ def test_classic_oracle_direct_examples():
 
 
 def test_corpus_is_deterministic_and_sized():
-    first = corpus_measures(99, 50)
-    second = corpus_measures(99, 50)
+    first = corpus_measures(99)
+    corpus_measures.cache_clear()
+    second = corpus_measures(99)
     assert first == second
-    assert len(first) == 50
-    assert corpus_measures(100, 50) != first
+    assert len(first) == 220
+    assert corpus_measures(100) != first
 
 
 def test_run_suite_rejects_unknown_names():
@@ -184,6 +185,11 @@ def test_run_suite_rejects_unknown_names():
 def test_run_suite_rejects_unknown_parameters():
     with pytest.raises(ValueError, match="max_lenn"):
         run_suite("trichotomy", max_lenn=2)
+    # Sizes no suite takes any more are unknown too, not sweeps over nothing.
+    with pytest.raises(ValueError, match="prime_bound"):
+        run_suite("prime-gapful", prime_bound=4)
+    with pytest.raises(ValueError, match="corpus_size"):
+        run_suite("trichotomy", corpus_size=0)
 
 
 def test_run_suite_passes_shared_parameters_only_where_declared():
@@ -230,9 +236,9 @@ def test_suite_registry_contents():
         ("projection", {"cases": 400}),
         ("vector-gapfree", {"max_len": 5}),
         ("stepped-gapfree", {"cases": 300}),
-        ("trichotomy", {"corpus_size": 30, "max_len": 4}),
-        ("gap-decision", {"corpus_size": 30, "max_len": 5}),
-        ("equivalence", {"corpus_size": 40, "pnf_len": 3, "pair_sample": 20}),
+        ("trichotomy", {"max_len": 4}),
+        ("gap-decision", {"max_len": 5}),
+        ("equivalence", {}),
         ("binary-reduction", {"max_len": 6}),
     ],
 )
@@ -242,18 +248,46 @@ def test_suites_pass_at_reduced_scale(suite, params):
     assert report.cases > 0
 
 
+# Per suite, with cases=20 and max_len=4 passed to every suite as the CLI
+# does: the sizes it declares and the cases it counts at seed 5.
+SMALL_SWEEPS = {
+    "binary-reduction": ({"max_len": 4}, 30),
+    "equivalence": ({"max_len": 4}, 7588),
+    "exchange": ({"cases": 20}, 20),
+    "gap-decision": ({"max_len": 4}, 220),
+    "pn-equivalences": ({"cases": 20, "max_len": 4}, 20),
+    "position-functions": ({"cases": 20, "max_len": 4}, 20),
+    "prime-gapful": ({}, 56),
+    "projection": ({"cases": 20, "max_len": 4}, 20),
+    "stepped-gapfree": ({"cases": 20}, 20),
+    "subadditivity": ({"cases": 20, "max_len": 4}, 20),
+    "trichotomy": ({"max_len": 4}, 34880),
+    "vector-gapfree": ({"max_len": 4}, 122),
+}
+
+
+@pytest.mark.parametrize("suite", suite_names())
+def test_report_params_are_the_sizes_the_suite_ran_with(suite):
+    sizes, cases = SMALL_SWEEPS[suite]
+    report = run_suite(suite, seed=5, cases=20, max_len=4)
+    assert report.suite == suite
+    assert report.params == sizes
+    assert report.cases == cases
+
+
 def test_report_rendering_formats():
-    report = run_suite("prime-gapful", seed=1)
+    report = run_suite("vector-gapfree", seed=1)
     lines = report.render("lines").splitlines()
-    assert lines[0] == f"SUITE prime-gapful CASES {report.cases} VIOLATIONS 0"
+    assert lines[0] == f"SUITE vector-gapfree CASES {report.cases} VIOLATIONS 0"
     text = report.render("text")
-    assert text.startswith("prime-gapful: pass")
+    assert text.startswith("vector-gapfree: pass")
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.cases = 0
     with pytest.raises(TypeError):
-        report.params["prime_bound"] = 99
+        report.params["max_len"] = 99
     assert report.render("text") == text
-    assert text.endswith("; prime_bound=20)")
+    assert text.endswith("; max_len=6)")
+    assert run_suite("prime-gapful", seed=1).render("text") == "prime-gapful: pass (56 cases)"
 
 
 def test_report_survives_pickle_and_deepcopy():
