@@ -55,7 +55,6 @@ from .oracle import (
     count_binary_prefix_normal,
     run_suite,
     suite_names,
-    verify_trichotomy,
 )
 from .profile import (
     WeightProfile,

@@ -12,13 +12,7 @@ import argparse
 import os
 import sys
 
-from .errors import (
-    DEFAULT_LIMIT,
-    CapacityExceeded,
-    IncreasingPropertyViolation,
-    MeasureSpecError,
-    OutOfRange,
-)
+from .errors import DEFAULT_LIMIT, CapacityExceeded, OutOfRange
 from .measure import Word, classify, load_measure, parikh
 from .normalform import (
     MultipleNormalForms,
@@ -237,9 +231,6 @@ def main(argv=None) -> int:
     except (OutOfRange, CapacityExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (MeasureSpecError, IncreasingPropertyViolation) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,9 +12,11 @@ CLI and the test fixtures.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import DEFAULT_LIMIT, CapacityExceeded, IncreasingPropertyViolation, MeasureSpecError
 from .monoid import (
@@ -69,8 +71,17 @@ class Alphabet:
 
     @cached_property
     def self_delimiting(self) -> bool:
-        # Brace-wrapped class tokens read unambiguously when concatenated.
-        return all(t.startswith("{") and t.endswith("}") for t in self.letters)
+        # Class tokens such as {n,c}, closed by their only '}', read
+        # unambiguously when concatenated.
+        return all(t.startswith("{") and t.find("}") == len(t) - 1 for t in self.letters)
+
+    @cached_property
+    def separator(self) -> str:
+        # What joins a word's tokens in text: nothing when tokens read alone,
+        # else a comma, or a space (never inside a token) when one holds a comma.
+        if self.single_char or self.self_delimiting:
+            return ""
+        return " " if any("," in t for t in self.letters) else ","
 
 
 @dataclass(frozen=True)
@@ -88,17 +99,17 @@ class Word:
 
     @classmethod
     def parse(cls, alphabet: Alphabet, text: str) -> "Word":
-        """Parse concatenated single-character letters, or comma-separated tokens."""
+        """Parse the text ``str`` prints; single characters may also come comma-separated."""
         if text == "":
             return cls(alphabet, ())
         if alphabet.single_char:
             try:
                 return cls(alphabet, tuple(alphabet.index_of(ch) for ch in text))
             except ValueError:
-                pass  # fall through to the delimited forms
-        if text in alphabet.letters:
-            return cls.from_tokens(alphabet, [text])
-        return cls.from_tokens(alphabet, text.split(","))
+                pass  # fall through to the comma-separated form
+        if alphabet.self_delimiting:
+            return cls.from_tokens(alphabet, text.replace("}", "} ").split())
+        return cls.from_tokens(alphabet, text.split(alphabet.separator or ","))
 
     @classmethod
     def from_tokens(cls, alphabet: Alphabet, tokens) -> "Word":
@@ -114,9 +125,7 @@ class Word:
         return len(self.indices)
 
     def __str__(self):
-        if self.alphabet.single_char or self.alphabet.self_delimiting:
-            return "".join(self.tokens())
-        return ",".join(self.tokens())
+        return self.alphabet.separator.join(self.tokens())
 
 
 def parikh(word: Word) -> tuple[int, ...]:
@@ -394,54 +403,47 @@ class EquivalenceReport:
         )
 
 
-def _word_at(alphabet: Alphabet, length: int, index: int) -> Word:
-    digits = []
-    size = len(alphabet)
-    for _ in range(length):
-        index, digit = divmod(index, size)
-        digits.append(digit)
-    return Word(alphabet, tuple(reversed(digits)))
-
-
 def bounded_equivalence(first: WeightMeasure, second: WeightMeasure, max_len: int) -> EquivalenceReport:
     """Check that both measures order all same-length words identically, up to max_len.
 
-    For each length the full word set is sorted by the first measure and the
+    A weight folds its letters in a commutative monoid, so it depends only
+    on the word's letter counts.  Each level therefore holds one sorted word
+    per letter multiset, extended only by letters no smaller than its last,
+    with both measures' weights; it is sorted by the first measure and the
     second measure's comparisons are replayed along consecutive pairs.  A
-    semi-decision: disagreement yields a concrete witness pair, agreement
-    only certifies lengths up to the bound.  Refuses bounds whose longest
-    level would exceed the default enumeration cap.
+    semi-decision: disagreement yields a witness pair of sorted words,
+    agreement only certifies lengths up to the bound.  Refuses, before any
+    level is built, bounds whose multisets over all levels would exceed the
+    default enumeration cap.
     """
     if first.alphabet != second.alphabet:
         raise ValueError("measures must share an alphabet to be compared")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     size = len(first.alphabet)
-    total = size ** max_len
+    total = math.comb(max_len + size, size) - 1
     if total > DEFAULT_LIMIT:
         raise CapacityExceeded(
-            f"{size}^{max_len} = {total} words exceed the limit of {DEFAULT_LIMIT}",
+            f"{total} letter multisets of lengths 1 to {max_len} exceed the limit of "
+            f"{DEFAULT_LIMIT}",
             count=total,
         )
     comb1, comb2 = first.combine, second.combine
     ws1, ws2 = first.payloads, second.payloads
-    level1 = [first.identity_payload]
-    level2 = [second.identity_payload]
-    for length in range(1, max_len + 1):
-        level1 = [comb1(acc, w) for acc in level1 for w in ws1]
-        level2 = [comb2(acc, w) for acc in level2 for w in ws2]
-        order = sorted(range(len(level1)), key=level1.__getitem__)
-        for a, b in zip(order, order[1:]):
-            tie1 = level1[a] == level1[b]
-            tie2 = level2[a] == level2[b]
-            if tie1 != tie2 or (not tie1 and level2[b] < level2[a]):
+    level = [((), first.identity_payload, second.identity_payload)]
+    for _ in range(max_len):
+        level = [
+            (word + (x,), comb1(p1, ws1[x]), comb2(p2, ws2[x]))
+            for word, p1, p2 in level
+            for x in range(word[-1] if word else 0, size)
+        ]
+        level.sort(key=itemgetter(1))
+        for (u, a1, a2), (v, b1, b2) in zip(level, level[1:]):
+            if (a1 == b1) != (a2 == b2) or b2 < a2:
                 return EquivalenceReport(
                     equivalent=False,
                     max_len=max_len,
-                    witness=(
-                        _word_at(first.alphabet, length, a),
-                        _word_at(first.alphabet, length, b),
-                    ),
+                    witness=(Word(first.alphabet, u), Word(first.alphabet, v)),
                 )
     return EquivalenceReport(equivalent=True, max_len=max_len, witness=None)
 

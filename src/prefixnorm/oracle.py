@@ -139,7 +139,7 @@ def brute_prefix_normal_set(measure: WeightMeasure, word: Word) -> set[Word]:
     return {m for m in members if prefix_payloads(ws, m.indices, ident, comb) == target}
 
 
-def verify_trichotomy(measure: WeightMeasure, max_len: int = 5) -> SweepReport:
+def _check_trichotomy(measure: WeightMeasure, max_len: int) -> tuple[int, list[str]]:
     """Compare per-class prefix-normal counts against the classification.
 
     Groups every word up to ``max_len`` by its factor-weight profile and
@@ -194,9 +194,7 @@ def verify_trichotomy(measure: WeightMeasure, max_len: int = 5) -> SweepReport:
         violations.append(f"{line} | gapful, but no empty class up to length {max_len}")
     if not flags.injective and not found_multi:
         violations.append(f"{line} | non-injective, but no multi-member class up to length {max_len}")
-    return SweepReport(
-        "trichotomy", {"max_len": max_len, "measure": line}, cases, tuple(violations)
-    )
+    return cases, violations
 
 
 def count_binary_prefix_normal(n: int, max_n: int = 16) -> int:
@@ -554,9 +552,9 @@ def _suite_trichotomy(seed: int, max_len: int = 5):
     violations: list[str] = []
     cases = 0
     for measure in corpus_measures(seed):
-        report = verify_trichotomy(measure, max_len)
-        cases += report.cases
-        violations.extend(report.violations)
+        done, found = _check_trichotomy(measure, max_len)
+        cases += done
+        violations.extend(found)
     return cases, violations
 
 
@@ -760,11 +758,12 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED, **params) -> SweepReport:
 
     A suite declares its sizes, ``cases`` and/or ``max_len``, as parameters
     after ``seed`` and returns ``(cases, violations)``.  Unknown suite names,
-    parameter names that no suite declares, and a ``cases`` or ``max_len``
-    below 1 (a sweep over no words) are usage errors.  Each suite gets only
-    the sizes it declares (None meaning its default), so the CLI can pass
-    ``max_len`` and ``cases`` to every suite; the report's ``params`` are
-    exactly the sizes the suite ran with.
+    parameter names that no suite declares, a ``cases`` or ``max_len``
+    below 1 (a sweep over no words), and a ``max_len`` below 4 for
+    ``gap-decision`` (too short for any gap) are usage errors.  Each suite
+    gets only the sizes it declares (None meaning its default), so the CLI
+    can pass ``max_len`` and ``cases`` to every suite; the report's
+    ``params`` are exactly the sizes the suite ran with.
     """
     try:
         runner = _SUITES[suite]
@@ -778,10 +777,12 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED, **params) -> SweepReport:
             f"unknown sweep parameter {', '.join(map(repr, unknown))} "
             f"(suites take: {', '.join(sorted(_SUITE_PARAMETERS))})"
         )
-    for name in ("cases", "max_len"):
+    # Every gap witness has four letters, so a shorter search finds no gap at all.
+    least_len = 4 if suite == "gap-decision" else 1
+    for name, least in (("cases", 1), ("max_len", least_len)):
         value = params.get(name)
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be at least {least} for {suite}, got {value}")
     signature = inspect.signature(runner)
     bound = signature.bind(
         seed, **{k: v for k, v in params.items() if v is not None and k in signature.parameters}

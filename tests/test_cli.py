@@ -168,6 +168,7 @@ def test_verify_unknown_suite_is_usage_error(capsys):
         (["verify", "subadditivity", "--cases", "-5"], "cases"),
         (["verify", "binary-reduction", "--max-len", "0"], "max_len"),
         (["verify", "subadditivity", "--max-len", "-1"], "max_len"),
+        (["verify", "gap-decision", "--max-len", "3"], "max_len"),
     ],
 )
 def test_verify_over_no_cases_is_usage_error(capsys, argv, name):
@@ -175,7 +176,9 @@ def test_verify_over_no_cases_is_usage_error(capsys, argv, name):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"{name} must be at least 1" in captured.err
+    # Every gap witness has four letters, so gap-decision needs max_len 4.
+    least = 4 if argv[1] == "gap-decision" else 1
+    assert f"{name} must be at least {least}" in captured.err
 
 
 def test_verify_seed_defaults_to_environment(capsys, monkeypatch):
@@ -196,6 +199,14 @@ def test_bad_measure_file_reports_line(capsys, spec):
     code = main(["classify", spec("monoid = nat-sum\nletters = a b\nweights = 1 x\n")])
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_weight_at_the_identity_is_usage_error(capsys, spec):
+    code = main(["classify", spec("monoid = nat-sum\nletters = a b\nweights = 0 1\n")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must exceed the identity" in captured.err
 
 
 def test_word_with_foreign_letter_is_usage_error(capsys, spec):

@@ -1,7 +1,9 @@
 import gc
+import itertools
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import ABC, ANB, ANCB, ANX, BITS, VEC_FIXTURE, product_measure, sum_measure, w, words
@@ -61,6 +63,37 @@ def test_word_parse_empty_and_errors():
     assert len(Word.parse(ANB, "")) == 0
     with pytest.raises(ValueError, match="not in alphabet"):
         Word.parse(ANB, "banzna")
+
+
+@pytest.mark.parametrize(
+    "letters,indices",
+    [(("{a}", "{a}{b}", "{b}"), (0, 2)), (("a,b", "c"), (0, 1)), (("{a}", "{n,c}"), (1, 0))],
+)
+def test_word_text_round_trips_for_ambiguous_looking_tokens(letters, indices):
+    word = Word(Alphabet(letters), indices)
+    assert Word.parse(word.alphabet, str(word)) == word
+
+
+letter_tokens = st.text(st.sampled_from("ab#{},=") | st.characters(), min_size=1, max_size=4)
+
+
+@st.composite
+def alphabets_and_words(draw, projected):
+    tokens = draw(st.lists(letter_tokens, min_size=1, max_size=5, unique=True))
+    try:
+        alphabet = Alphabet(tuple(tokens))
+    except ValueError:
+        assume(False)  # a token the alphabet refuses never reaches a word
+    if projected:
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(tokens), max_size=len(tokens)))
+        alphabet = sum_measure(alphabet, *weights).projected.measure.alphabet
+    indices = draw(st.lists(st.integers(0, len(alphabet) - 1), max_size=6))
+    return Word(alphabet, tuple(indices))
+
+
+@given(st.booleans().flatmap(alphabets_and_words))
+def test_every_word_round_trips_through_its_text(word):
+    assert Word.parse(word.alphabet, str(word)) == word
 
 
 def test_word_reversal_and_parikh():
@@ -287,9 +320,76 @@ def test_equivalence_is_reflexive():
 
 
 def test_equivalence_refuses_oversized_levels():
+    # The cap counts the letter multisets of lengths 1..max_len: 3 letters
+    # give C(max_len + 3, 3) - 1, which first exceeds 100 000 at max_len 83.
+    first, second = sum_measure(ABC, 1, 2, 3), sum_measure(ABC, 1, 2, 4)
+    assert not bounded_equivalence(first, second, max_len=82).equivalent
     with pytest.raises(CapacityExceeded) as info:
-        bounded_equivalence(sum_measure(ABC, 1, 2, 3), sum_measure(ABC, 1, 2, 4), max_len=11)
-    assert info.value.count == 3**11
+        bounded_equivalence(first, second, max_len=83)
+    assert info.value.count == math.comb(86, 3) - 1 == 102_339
+    # Refused before any level is built, however far out of reach.
+    with pytest.raises(CapacityExceeded):
+        bounded_equivalence(first, second, max_len=10**9)
+
+
+def _orders_differently(first, second, u, v):
+    a = [first.weight_payload(x) for x in (u, v)]
+    b = [second.weight_payload(x) for x in (u, v)]
+    return (a[0] < a[1], a[0] == a[1]) != (b[0] < b[1], b[0] == b[1])
+
+
+def _order_alike_by_definition(first, second, max_len):
+    """Every pair of same-length words, ties included, compares alike under both."""
+    size = len(first.alphabet)
+    for length in range(1, max_len + 1):
+        level = [Word(first.alphabet, c) for c in itertools.product(range(size), repeat=length)]
+        if any(_orders_differently(first, second, u, v) for u, v in itertools.combinations(level, 2)):
+            return False
+    return True
+
+
+# Letter ranks mapped into each carrier so that equal ranks give equivalent
+# measures: the weight of a word then grows with its rank sum at every length.
+_RANKED = {
+    MonoidKind.NAT_SUM: lambda rank: rank + 1,
+    MonoidKind.NAT_PRODUCT: lambda rank: 2 * 3**rank,
+    MonoidKind.VEC2_LEX: lambda rank: (rank, 1),
+}
+_FREE = {
+    MonoidKind.NAT_SUM: st.integers(1, 6),
+    MonoidKind.NAT_PRODUCT: st.integers(2, 9),
+    MonoidKind.VEC2_LEX: st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any),
+}
+
+
+@st.composite
+def measure_pairs(draw):
+    size = draw(st.integers(2, 3))
+    alphabet = Alphabet(tuple("abc"[:size]))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+
+    def measure():
+        kind = draw(st.sampled_from(MonoidKind))
+        if draw(st.booleans()):
+            payloads = [_RANKED[kind](rank) for rank in ranks]
+        else:
+            payloads = draw(st.lists(_FREE[kind], min_size=size, max_size=size))
+        return WeightMeasure.from_payloads(alphabet, kind, payloads)
+
+    return measure(), measure()
+
+
+@given(measure_pairs(), st.integers(1, 4))
+def test_bounded_equivalence_matches_the_definition(pair, max_len):
+    first, second = pair
+    report = bounded_equivalence(first, second, max_len)
+    assert report.equivalent == _order_alike_by_definition(first, second, max_len)
+    if report.equivalent:
+        assert report.witness is None
+    else:
+        u, v = report.witness
+        assert len(u) == len(v) <= max_len and u != v
+        assert _orders_differently(first, second, u, v)
 
 
 def test_equivalence_requires_shared_alphabet():
@@ -357,7 +457,6 @@ def test_measure_text_roundtrip():
     assert parse_measure_text(measure_text(measure)) == measure
 
 
-spec_tokens = st.text(st.sampled_from("ab#{},=") | st.characters(), min_size=1, max_size=4)
 spec_payloads = {
     MonoidKind.NAT_SUM: st.integers(1, 10**6),
     MonoidKind.NAT_PRODUCT: st.integers(2, 10**6),
@@ -368,7 +467,7 @@ spec_payloads = {
 
 
 @given(
-    st.lists(spec_tokens, min_size=1, max_size=5, unique=True),
+    st.lists(letter_tokens, min_size=1, max_size=5, unique=True),
     st.sampled_from(MonoidKind),
     st.data(),
 )

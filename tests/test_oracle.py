@@ -26,7 +26,6 @@ from prefixnorm import (
     run_suite,
     standard_measure,
     suite_names,
-    verify_trichotomy,
 )
 from prefixnorm import oracle
 from prefixnorm.oracle import classic_max_ones, classic_prefix_ones, is_prefix_normal_classic
@@ -118,9 +117,9 @@ def test_equivalence_class_matches_brute_force_on_all_short_words(measure, max_l
 )
 def test_verify_trichotomy_fixtures(payloads):
     alphabet = Alphabet(tuple("abcd"[: len(payloads)]))
-    report = verify_trichotomy(sum_measure(alphabet, *payloads), max_len=4)
-    assert report.passed, report.violations
-    assert report.params["measure"].startswith("measure[nat-sum")
+    cases, violations = oracle._check_trichotomy(sum_measure(alphabet, *payloads), max_len=4)
+    assert not violations
+    assert cases == sum(len(alphabet) ** n for n in range(1, 5))
 
 
 def test_count_binary_prefix_normal_small_values():
