@@ -9,7 +9,7 @@ class IncreasingPropertyViolation(ValueError):
 
 
 class OutOfRange(ValueError):
-    """A position query asked for a weight no prefix reaches."""
+    """A position query asked for a weight no prefix reaches, or a length no factor has."""
 
 
 class CapacityExceeded(RuntimeError):

@@ -26,6 +26,7 @@ from .monoid import (
     parse_payload,
     payload_combine,
     payload_identity,
+    payload_residual,
 )
 from .profile import gap_indexes
 
@@ -179,6 +180,10 @@ class WeightMeasure:
         return payload_combine(self.kind)
 
     @cached_property
+    def residual(self):
+        return payload_residual(self.kind)
+
+    @cached_property
     def identity_payload(self):
         return payload_identity(self.kind)
 
@@ -251,12 +256,13 @@ class MeasureClassification:
 
 
 def find_gap(measure: WeightMeasure) -> Gap | None:
-    """Decide gapfreeness; O(k^4) in the number of distinct base weights.
+    """Decide gapfreeness; O(k^3) in the number of distinct base weights.
 
     The distinct base weights, sorted ascending, stand in for the projected
     and weight-relabelled measure.  With at most two of them every measure
     is gapfree.  Otherwise each sorted triple (low, mid, high) must admit a
-    letter x with mid . x == low . high; the first failing triple yields a
+    letter x with mid . x == low . high, that is, the residual of mid and
+    low . high must be a base weight; the first failing triple yields a
     four-letter witness word shaped high-low-high-mid (letters of weights
     w_high, w_low, w_high, w_mid), whose gap sits at index 3.
 
@@ -270,13 +276,10 @@ def find_gap(measure: WeightMeasure) -> Gap | None:
     representative = {}
     for position, payload in enumerate(payloads):
         representative.setdefault(payload, position)
-    comb = measure.combine
-    for i, j, k in itertools.combinations(range(len(distinct)), 3):
-        target = comb(distinct[i], distinct[k])
-        mid = distinct[j]
-        if any(comb(mid, x) == target for x in distinct):
+    comb, residual = measure.combine, measure.residual
+    for low, mid, high in itertools.combinations(distinct, 3):
+        if residual(mid, comb(low, high)) in representative:
             continue
-        low, high = distinct[i], distinct[k]
         witness = Word(
             measure.alphabet,
             (
@@ -293,31 +296,17 @@ def find_gap(measure: WeightMeasure) -> Gap | None:
 def stepped_step(measure: WeightMeasure) -> MonoidValue | None:
     """The single step whose repeated action generates the distinct weights.
 
-    Sorted ascending, consecutive distinct weights must each differ by one
-    fixed carrier element: a difference for sums, an exact quotient for
-    products, a componentwise-nonnegative difference for vector weights.
-    A single distinct weight is trivially stepped (by the identity).
+    Sorted ascending, each distinct weight must be the previous one combined
+    with one fixed carrier element, their residual.  A single distinct
+    weight is trivially stepped (by the identity).
     """
     distinct = sorted(set(measure.payloads))
-    kind = measure.kind
     if len(distinct) == 1:
-        return MonoidValue(kind, payload_identity(kind))
-    steps = set()
-    for a, b in zip(distinct, distinct[1:]):
-        if kind is MonoidKind.NAT_SUM:
-            steps.add(b - a)
-        elif kind is MonoidKind.NAT_PRODUCT:
-            if b % a:
-                return None
-            steps.add(b // a)
-        else:
-            delta = (b[0] - a[0], b[1] - a[1])
-            if delta[0] < 0 or delta[1] < 0:
-                return None
-            steps.add(delta)
-    if len(steps) != 1:
+        return MonoidValue(measure.kind, measure.identity_payload)
+    steps = set(map(measure.residual, distinct, distinct[1:]))
+    if len(steps) != 1 or None in steps:
         return None
-    return MonoidValue(kind, steps.pop())
+    return MonoidValue(measure.kind, steps.pop())
 
 
 def _is_prime(n: int) -> bool:

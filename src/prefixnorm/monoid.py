@@ -7,6 +7,11 @@ Three carriers are supported:
 * ``vec2-lex``    -- pairs of nonnegative integers under componentwise
   addition, ordered lexicographically.
 
+Every carrier is cancellative: for weights a and b at most one element x
+has a . x == b.  ``payload_residual`` returns that x, or ``None`` when the
+carrier holds none; it answers every "which step leads from a to b"
+question (gaps, steps, normal forms) without scanning candidates.
+
 All payloads are arbitrary-precision Python integers, so long product
 weights never overflow.  Payloads of every kind compare correctly with
 the native ``<`` operator, which the hot enumeration loops rely on.
@@ -54,6 +59,15 @@ _COMBINE = {
 }
 
 
+_RESIDUAL = {
+    MonoidKind.NAT_SUM: lambda a, b: b - a if b >= a else None,
+    MonoidKind.NAT_PRODUCT: lambda a, b: None if b % a else b // a,
+    MonoidKind.VEC2_LEX: lambda a, b: (
+        (b[0] - a[0], b[1] - a[1]) if b[0] >= a[0] and b[1] >= a[1] else None
+    ),
+}
+
+
 def payload_identity(kind: MonoidKind) -> Payload:
     return _IDENTITY[kind]
 
@@ -61,6 +75,11 @@ def payload_identity(kind: MonoidKind) -> Payload:
 def payload_combine(kind: MonoidKind):
     """Raw combiner over payloads, for inner loops that skip MonoidValue."""
     return _COMBINE[kind]
+
+
+def payload_residual(kind: MonoidKind):
+    """Raw ``(a, b) -> x`` with ``a . x == b``, or ``None`` when no carrier element fits."""
+    return _RESIDUAL[kind]
 
 
 def check_payload(kind: MonoidKind, payload: Payload) -> None:

@@ -44,7 +44,8 @@ NormalFormResult = NoNormalForm | UniqueNormalForm | MultipleNormalForms
 def prefix_normal_form(measure: WeightMeasure, word: Word) -> NormalFormResult:
     """Walk the factor-weight profile, picking the letter class for each step.
 
-    A step no class weight realises means the class of the word holds no
+    Each step's residual is the one weight that can realise it; a step whose
+    residual is no class weight means the class of the word holds no
     prefix-normal member at all; otherwise injective measures give one word
     and non-injective measures a projected word with a count.
     """
@@ -55,17 +56,14 @@ def prefix_normal_form(measure: WeightMeasure, word: Word) -> NormalFormResult:
     f, _ = factor_max_payloads(
         measure.payloads, word.indices, measure.identity_payload, measure.combine
     )
-    comb = measure.combine
-    class_weights = projected.measure.payloads
+    class_of_weight = {weight: c for c, weight in enumerate(projected.measure.payloads)}
+    residual = measure.residual
     picks = []
-    for i in range(1, len(word.indices) + 1):
-        prev, target = f[i - 1], f[i]
-        for class_index, class_weight in enumerate(class_weights):
-            if comb(prev, class_weight) == target:
-                picks.append(class_index)
-                break
-        else:
+    for i in range(1, len(f)):
+        pick = class_of_weight.get(residual(f[i - 1], f[i]))
+        if pick is None:
             return NoNormalForm(gap_word=word, gap_index=i)
+        picks.append(pick)
     if all(len(group) == 1 for group in projected.classes):
         letters = tuple(projected.classes[c][0] for c in picks)
         return UniqueNormalForm(Word(measure.alphabet, letters))

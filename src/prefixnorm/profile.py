@@ -73,19 +73,16 @@ def prefix_payloads(letter_weights: Sequence, indices: Sequence[int], ident, com
 def gap_indexes(measure: "WeightMeasure", word: "Word") -> list[int]:
     """Indexes whose factor-weight step no single letter can realise.
 
-    This is the definition-level check; an empty list means the word
+    A step is realised when its residual is a base weight.  This is the
+    definition-level check; an empty list means the word
     exhibits no gap under the measure.
     """
     measure.check_word(word)
-    comb = measure.combine
-    f, _ = factor_max_payloads(measure.payloads, word.indices, measure.identity_payload, comb)
-    base = sorted(set(measure.payloads))
-    out = []
-    for i in range(1, len(word.indices) + 1):
-        prev, target = f[i - 1], f[i]
-        if not any(comb(prev, b) == target for b in base):
-            out.append(i)
-    return out
+    f, _ = factor_max_payloads(
+        measure.payloads, word.indices, measure.identity_payload, measure.combine
+    )
+    base, residual = set(measure.payloads), measure.residual
+    return [i for i in range(1, len(f)) if residual(f[i - 1], f[i]) not in base]
 
 
 @dataclass(frozen=True)
@@ -136,6 +133,8 @@ class WeightProfile:
 
     def factor_witness(self, size: int) -> "Word":
         """The leftmost factor of the given length realising the maximum."""
+        if not 0 <= size <= len(self):
+            raise OutOfRange(f"no factor of {self.word} has length {size}")
         start = self.factor_starts[size]
         return replace(self.word, indices=self.word.indices[start:start + size])
 

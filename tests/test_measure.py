@@ -6,7 +6,19 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import ABC, ANB, ANCB, ANX, BITS, VEC_FIXTURE, product_measure, sum_measure, w, words
+from helpers import (
+    ABC,
+    ANB,
+    ANCB,
+    ANX,
+    BITS,
+    VEC_FIXTURE,
+    product_measure,
+    sum_measure,
+    vec_measure,
+    w,
+    words,
+)
 from prefixnorm import (
     Alphabet,
     CapacityExceeded,
@@ -226,6 +238,9 @@ def test_non_injective_measures_decide_through_projection():
         (product_measure(ABC, 2, 6, 18), 3),
         (product_measure(ABC, 2, 6, 12), None),
         (VEC_FIXTURE, None),
+        (sum_measure(ABC, 3, 3, 3), 0),
+        (product_measure(ABC, 5, 5, 5), 1),
+        (vec_measure(ABC, (0, 3), (1, 0), (2, 0)), None),
     ],
 )
 def test_stepped_step(measure, expected):

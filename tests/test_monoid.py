@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prefixnorm.monoid import (
@@ -13,6 +15,7 @@ from prefixnorm.monoid import (
     parse_value,
     payload_combine,
     payload_identity,
+    payload_residual,
 )
 
 
@@ -135,3 +138,47 @@ def test_strictly_increasing_when_other_exceeds_identity(data):
     ident = payload_identity(kind)
     if b > ident:
         assert comb(a, b) > a
+
+
+@given(triples)
+def test_residual_undoes_combine(data):
+    kind, a, x, _ = data
+    assert payload_residual(kind)(a, payload_combine(kind)(a, x)) == x
+
+
+def _carrier_up_to(kind, b):
+    """Every carrier element componentwise at most ``b``: all candidates for a . x == b."""
+    if kind is MonoidKind.NAT_SUM:
+        return range(b + 1)
+    if kind is MonoidKind.NAT_PRODUCT:
+        return range(1, b + 1)
+    return itertools.product(range(b[0] + 1), range(b[1] + 1))
+
+
+def _small_payloads(kind):
+    if kind is MonoidKind.NAT_SUM:
+        return st.integers(min_value=0, max_value=40)
+    if kind is MonoidKind.NAT_PRODUCT:
+        return st.integers(min_value=1, max_value=60)
+    small = st.integers(min_value=0, max_value=8)
+    return st.tuples(small, small)
+
+
+small_pairs = kinds.flatmap(
+    lambda k: st.tuples(st.just(k), _small_payloads(k), _small_payloads(k))
+)
+
+
+@given(small_pairs)
+@example((MonoidKind.NAT_SUM, 5, 3))  # b < a
+@example((MonoidKind.NAT_PRODUCT, 4, 6))  # not divisible
+@example((MonoidKind.NAT_PRODUCT, 6, 3))  # b < a
+@example((MonoidKind.VEC2_LEX, (1, 3), (2, 0)))  # second component falls
+@example((MonoidKind.VEC2_LEX, (2, 0), (1, 3)))  # first component falls
+@example((MonoidKind.VEC2_LEX, (1, 1), (1, 1)))  # the identity step
+def test_residual_is_none_exactly_when_no_element_fits(data):
+    kind, a, b = data
+    comb = payload_combine(kind)
+    found = [x for x in _carrier_up_to(kind, b) if comb(a, x) == b]
+    assert len(found) <= 1
+    assert payload_residual(kind)(a, b) == (found[0] if found else None)

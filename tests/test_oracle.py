@@ -153,8 +153,13 @@ def test_enumerators_leave_no_cyclic_garbage():
 
 
 def test_count_binary_prefix_normal_bound():
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(CapacityExceeded) as info:
         count_binary_prefix_normal(17)
+    assert info.value.count == 2**17
+    # A huge length is refused before 2^n is built, so the count stays unknown.
+    with pytest.raises(CapacityExceeded) as info:
+        count_binary_prefix_normal(10**9)
+    assert info.value.count is None
     with pytest.raises(ValueError):
         count_binary_prefix_normal(-1)
 

@@ -52,6 +52,15 @@ def test_factor_witnesses_are_leftmost_maximisers():
         assert MU.weight(witness) == profile.factor_max[size]
 
 
+@pytest.mark.parametrize("size", [-1, 4])
+def test_factor_witness_rejects_sizes_outside_the_word(size):
+    profile = weight_profile(sum_measure(ABC, 1, 2, 3), w(ABC, "cab"))
+    assert str(profile.factor_witness(0)) == ""
+    assert str(profile.factor_witness(3)) == "cab"
+    with pytest.raises(OutOfRange):
+        profile.factor_witness(size)
+
+
 def test_is_prefix_normal_fixtures():
     assert is_prefix_normal(MU, w(ANB, "banana"))
     assert not is_prefix_normal(MU, w(ANB, "nanaba"))
