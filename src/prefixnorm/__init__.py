@@ -34,7 +34,7 @@ from .measure import (
     stepped_step,
     subset_measure,
 )
-from .monoid import MonoidKind, MonoidValue, combine, compare, identity, parse_value
+from .monoid import MonoidKind, MonoidValue
 from .normalform import (
     MultipleNormalForms,
     NoNormalForm,

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .errors import DEFAULT_LIMIT, CapacityExceeded, OutOfRange
-from .measure import Word, classify, load_measure, parikh
+from .measure import Word, classify, format_weights, load_measure, parikh
 from .normalform import (
     MultipleNormalForms,
     NoNormalForm,
@@ -66,7 +66,7 @@ def _cmd_classify(args) -> int:
         return EXIT_OK
     print(f"letters: {' '.join(measure.alphabet.letters)}")
     print(f"monoid: {measure.kind.value}")
-    print(f"base weights: {' '.join(str(w) for w in measure.weights)}")
+    print(f"base weights: {format_weights(measure)}")
     print(f"injective: {yn[flags.injective]}")
     print(f"alphabetically ordered: {yn[flags.alphabetically_ordered]}")
     print(f"binary: {yn[flags.binary]}")

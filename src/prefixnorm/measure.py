@@ -22,6 +22,7 @@ from .errors import DEFAULT_LIMIT, CapacityExceeded, IncreasingPropertyViolation
 from .monoid import (
     MonoidKind,
     MonoidValue,
+    check_payload,
     format_payload,
     parse_payload,
     payload_combine,
@@ -141,39 +142,35 @@ def parikh(word: Word) -> tuple[int, ...]:
 class WeightMeasure:
     """Base weights for every letter of an alphabet, over one monoid kind.
 
-    Every base weight must strictly exceed the identity, so the weight of a
-    word strictly grows under every extension.  For nat-product measures
-    this forces all weights to be at least 2.
+    ``payloads`` holds one bare carrier payload per letter, in alphabet
+    order; any iterable is accepted and stored as a tuple.  Each payload
+    must lie in the kind's carrier and strictly exceed the identity, so the
+    weight of a word strictly grows under every extension.  For
+    nat-product measures this forces all weights to be at least 2.
     """
 
     alphabet: Alphabet
     kind: MonoidKind
-    weights: tuple[MonoidValue, ...]
+    payloads: tuple
 
     def __post_init__(self):
-        if len(self.weights) != len(self.alphabet):
-            raise ValueError(
-                f"expected {len(self.alphabet)} base weights, got {len(self.weights)}"
-            )
+        payloads = tuple(self.payloads)
+        object.__setattr__(self, "payloads", payloads)
+        if len(payloads) != len(self.alphabet):
+            raise ValueError(f"expected {len(self.alphabet)} base weights, got {len(payloads)}")
         ident = payload_identity(self.kind)
-        for letter, value in zip(self.alphabet.letters, self.weights):
-            if value.kind is not self.kind:
-                raise ValueError(
-                    f"weight of {letter!r} has kind {value.kind.value}, measure is {self.kind.value}"
-                )
-            if not value.payload > ident:
+        for letter, payload in zip(self.alphabet.letters, payloads):
+            check_payload(self.kind, payload)
+            if not payload > ident:
                 raise IncreasingPropertyViolation(
-                    f"base weight of {letter!r} is {value}; every base weight must exceed "
-                    f"the identity {format_payload(self.kind, ident)}"
+                    f"base weight of {letter!r} is {format_payload(self.kind, payload)}; every "
+                    f"base weight must exceed the identity {format_payload(self.kind, ident)}"
                 )
 
     @classmethod
     def from_payloads(cls, alphabet: Alphabet, kind: MonoidKind, payloads) -> "WeightMeasure":
-        return cls(alphabet, kind, tuple(MonoidValue(kind, p) for p in payloads))
-
-    @cached_property
-    def payloads(self) -> tuple:
-        return tuple(value.payload for value in self.weights)
+        """The constructor under its old name, kept only because perfbench still calls it."""
+        return cls(alphabet, kind, payloads)
 
     @cached_property
     def combine(self):
@@ -196,11 +193,7 @@ class WeightMeasure:
         tokens = tuple(
             "{" + ",".join(self.alphabet.letters[i] for i in group) + "}" for group in classes
         )
-        projected_measure = WeightMeasure(
-            Alphabet(tokens),
-            self.kind,
-            tuple(self.weights[group[0]] for group in classes),
-        )
+        projected_measure = WeightMeasure(Alphabet(tokens), self.kind, groups.keys())
         class_of = [0] * len(self.alphabet)
         for class_index, group in enumerate(classes):
             for i in group:
@@ -439,9 +432,7 @@ def bounded_equivalence(first: WeightMeasure, second: WeightMeasure, max_len: in
 
 def standard_measure(alphabet: Alphabet) -> WeightMeasure:
     """The nat-sum measure weighting the i-th letter i: gapfree, injective, ordered."""
-    return WeightMeasure.from_payloads(
-        alphabet, MonoidKind.NAT_SUM, range(1, len(alphabet) + 1)
-    )
+    return WeightMeasure(alphabet, MonoidKind.NAT_SUM, range(1, len(alphabet) + 1))
 
 
 def subset_measure(alphabet: Alphabet, members) -> WeightMeasure:
@@ -453,7 +444,7 @@ def subset_measure(alphabet: Alphabet, members) -> WeightMeasure:
     member_set = set(members)
     for token in member_set:
         alphabet.index_of(token)
-    return WeightMeasure.from_payloads(
+    return WeightMeasure(
         alphabet,
         MonoidKind.NAT_SUM,
         (2 if token in member_set else 1 for token in alphabet.letters),
@@ -517,17 +508,17 @@ def parse_measure_text(text: str) -> WeightMeasure:
         raise MeasureSpecError(str(err), line=letters_line) from None
 
     weights_line, weights_value = entries["weights"]
-    values = []
+    payloads = []
     for token in weights_value.split():
         try:
-            values.append(MonoidValue(kind, parse_payload(kind, token)))
+            payloads.append(parse_payload(kind, token))
         except ValueError as err:
             raise MeasureSpecError(str(err), line=weights_line) from None
-    if len(values) != len(alphabet):
+    if len(payloads) != len(alphabet):
         raise MeasureSpecError(
-            f"{len(alphabet)} letters but {len(values)} weights", line=weights_line
+            f"{len(alphabet)} letters but {len(payloads)} weights", line=weights_line
         )
-    return WeightMeasure(alphabet, kind, tuple(values))
+    return WeightMeasure(alphabet, kind, payloads)
 
 
 def load_measure(path) -> WeightMeasure:
@@ -535,20 +526,23 @@ def load_measure(path) -> WeightMeasure:
         return parse_measure_text(handle.read())
 
 
+def format_weights(measure: WeightMeasure) -> str:
+    """The base weights in spec syntax, space-separated in alphabet order."""
+    return " ".join(format_payload(measure.kind, payload) for payload in measure.payloads)
+
+
 def measure_text(measure: WeightMeasure) -> str:
     """Render a measure back into the measure-file format."""
-    weights = " ".join(str(value) for value in measure.weights)
     return (
         f"monoid = {measure.kind.value}\n"
         f"letters = {' '.join(measure.alphabet.letters)}\n"
-        f"weights = {weights}\n"
+        f"weights = {format_weights(measure)}\n"
     )
 
 
 def measure_line(measure: WeightMeasure) -> str:
     """One-line rendering used in sweep counterexample replays."""
-    weights = " ".join(str(value) for value in measure.weights)
     return (
         f"measure[{measure.kind.value}; "
-        f"letters {' '.join(measure.alphabet.letters)}; weights {weights}]"
+        f"letters {' '.join(measure.alphabet.letters)}; weights {format_weights(measure)}]"
     )

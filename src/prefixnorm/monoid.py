@@ -14,7 +14,10 @@ question (gaps, steps, normal forms) without scanning candidates.
 
 All payloads are arbitrary-precision Python integers, so long product
 weights never overflow.  Payloads of every kind compare correctly with
-the native ``<`` operator, which the hot enumeration loops rely on.
+the native ``<`` operator, so measures and every algorithm work on bare
+payloads.  ``MonoidValue`` tags a payload with its kind for the values the
+package hands out (profiles, steps, word weights); its comparisons refuse
+to mix kinds.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def payload_identity(kind: MonoidKind) -> Payload:
 
 
 def payload_combine(kind: MonoidKind):
-    """Raw combiner over payloads, for inner loops that skip MonoidValue."""
+    """The carrier's combine, over bare payloads."""
     return _COMBINE[kind]
 
 
@@ -166,25 +169,3 @@ class MonoidValue:
     def __str__(self):
         return format_payload(self.kind, self.payload)
 
-
-def identity(kind: MonoidKind) -> MonoidValue:
-    return MonoidValue(kind, _IDENTITY[kind])
-
-
-def combine(x: MonoidValue, y: MonoidValue) -> MonoidValue:
-    x._require_same_kind(y)
-    return MonoidValue(x.kind, _COMBINE[x.kind](x.payload, y.payload))
-
-
-def compare(x: MonoidValue, y: MonoidValue) -> int:
-    """Strict total order as a C-style comparator: negative, zero, or positive."""
-    x._require_same_kind(y)
-    if x.payload < y.payload:
-        return -1
-    if x.payload > y.payload:
-        return 1
-    return 0
-
-
-def parse_value(kind: MonoidKind, text: str) -> MonoidValue:
-    return MonoidValue(kind, parse_payload(kind, text))

@@ -5,6 +5,11 @@ definitions (full word enumeration, window scans) so the fast paths in the
 other modules can be checked against an independent route.  Sweeps are
 deterministic for a fixed seed and report exact case counts plus a
 replayable line per counterexample.
+
+Every full scan of the |Σ|^n words of one length refuses up front, with
+``CapacityExceeded``, when that count exceeds ``DEFAULT_LIMIT``: the brute
+oracles, the trichotomy check, the binary count and the binary-reduction
+sweep, so an oversized request fails at once instead of running for hours.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import CapacityExceeded
+from .errors import DEFAULT_LIMIT, CapacityExceeded
 from .measure import (
     Alphabet,
     Gap,
@@ -103,8 +108,22 @@ def _running_factor_max(letter_weights, indices, ident, comb):
     return best, starts
 
 
+def _refuse_word_scan(size: int, length: int) -> None:
+    """Refuse to scan the size^length words of one length beyond ``DEFAULT_LIMIT``.
+
+    The refusal's ``count`` is exact up to length 64 and ``None`` beyond,
+    so a huge length is refused without building a huge power.
+    """
+    if size > 1 and (length > 64 or size**length > DEFAULT_LIMIT):
+        raise CapacityExceeded(
+            f"refusing to scan {size}^{length} words (limit {DEFAULT_LIMIT})",
+            count=size**length if length <= 64 else None,
+        )
+
+
 def brute_gap_search(measure: WeightMeasure, max_len: int) -> Gap | None:
     """First definitional gap in (length, lexicographic, index) order, if any."""
+    _refuse_word_scan(len(measure.alphabet), max_len)
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     base = sorted(set(ws))
     size = len(measure.alphabet)
@@ -121,9 +140,10 @@ def brute_gap_search(measure: WeightMeasure, max_len: int) -> Gap | None:
 def brute_equivalence_class(measure: WeightMeasure, word: Word) -> set[Word]:
     """Every same-length word whose factor-weight profile equals the word's, by full scan."""
     measure.check_word(word)
+    size = len(measure.alphabet)
+    _refuse_word_scan(size, len(word))
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     target, _ = _running_factor_max(ws, word.indices, ident, comb)
-    size = len(measure.alphabet)
     return {
         Word(measure.alphabet, combo)
         for combo in itertools.product(range(size), repeat=len(word.indices))
@@ -149,9 +169,10 @@ def _check_trichotomy(measure: WeightMeasure, max_len: int) -> tuple[int, list[s
     otherwise (gaps appear by length 4).  Each class count is also checked
     against the constructive count.
     """
+    size = len(measure.alphabet)
+    _refuse_word_scan(size, max_len)
     flags = classify(measure)
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-    size = len(measure.alphabet)
     line = measure_line(measure)
     violations: list[str] = []
     cases = 0
@@ -197,21 +218,16 @@ def _check_trichotomy(measure: WeightMeasure, max_len: int) -> tuple[int, list[s
     return cases, violations
 
 
-def count_binary_prefix_normal(n: int, max_n: int = 16) -> int:
+def count_binary_prefix_normal(n: int) -> int:
     """Count prefix-normal words of length n over {0,1} under weights (1,2).
 
-    Walks only prefix-normal prefixes, without listing the words; ``max_n``
-    still bounds n as if all 2^n words were scanned.  The refusal's
-    ``count`` is 2^n up to n = 64 and ``None`` beyond, so a huge n is
-    refused without building a huge integer.
+    Walks only prefix-normal prefixes, without listing the words, yet
+    refuses n as if all 2^n words were scanned (n = 16 is the largest
+    accepted).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > max_n:
-        raise CapacityExceeded(
-            f"refusing to enumerate 2^{n} binary words (bound {max_n})",
-            count=2 ** n if n <= 64 else None,
-        )
+    _refuse_word_scan(2, n)
     measure = subset_measure(_BINARY_ALPHABET, {"1"})
     return sum(1 for _ in walk_words(measure, n))
 
@@ -258,22 +274,21 @@ def _fixture_measures() -> list[WeightMeasure]:
     anx = Alphabet(("a", "n", "x"))
     ancb = Alphabet(("a", "n", "c", "b"))
     anbx = Alphabet(("a", "n", "b", "x"))
-    from_p = WeightMeasure.from_payloads
     return [
         standard_measure(Alphabet(("a", "b"))),
         standard_measure(abc),
         standard_measure(Alphabet(("a", "b", "c", "d"))),
-        from_p(anb, MonoidKind.NAT_SUM, (1, 2, 3)),
-        from_p(ancb, MonoidKind.NAT_SUM, (1, 2, 2, 3)),
-        from_p(anbx, MonoidKind.NAT_SUM, (1, 2, 3, 4)),
-        from_p(anx, MonoidKind.NAT_SUM, (1, 2, 4)),
-        from_p(abc, MonoidKind.NAT_SUM, (1, 2, 4)),
-        from_p(abc, MonoidKind.NAT_SUM, (1, 3, 4)),
-        from_p(abc, MonoidKind.NAT_SUM, (2, 4, 6)),
-        from_p(abc, MonoidKind.NAT_PRODUCT, (2, 6, 18)),
-        from_p(abc, MonoidKind.NAT_PRODUCT, (2, 3, 5)),
-        from_p(abc, MonoidKind.NAT_PRODUCT, (4, 6, 9)),
-        from_p(abc, MonoidKind.VEC2_LEX, ((0, 2), (1, 1), (2, 0))),
+        WeightMeasure(anb, MonoidKind.NAT_SUM, (1, 2, 3)),
+        WeightMeasure(ancb, MonoidKind.NAT_SUM, (1, 2, 2, 3)),
+        WeightMeasure(anbx, MonoidKind.NAT_SUM, (1, 2, 3, 4)),
+        WeightMeasure(anx, MonoidKind.NAT_SUM, (1, 2, 4)),
+        WeightMeasure(abc, MonoidKind.NAT_SUM, (1, 2, 4)),
+        WeightMeasure(abc, MonoidKind.NAT_SUM, (1, 3, 4)),
+        WeightMeasure(abc, MonoidKind.NAT_SUM, (2, 4, 6)),
+        WeightMeasure(abc, MonoidKind.NAT_PRODUCT, (2, 6, 18)),
+        WeightMeasure(abc, MonoidKind.NAT_PRODUCT, (2, 3, 5)),
+        WeightMeasure(abc, MonoidKind.NAT_PRODUCT, (4, 6, 9)),
+        WeightMeasure(abc, MonoidKind.VEC2_LEX, ((0, 2), (1, 1), (2, 0))),
         subset_measure(_BINARY_ALPHABET, {"1"}),
     ]
 
@@ -296,7 +311,7 @@ def _random_measure(rng: random.Random) -> WeightMeasure:
             while pair == (0, 0):
                 pair = (rng.randint(0, 4), rng.randint(0, 4))
             payloads.append(pair)
-    return WeightMeasure.from_payloads(alphabet, kind, payloads)
+    return WeightMeasure(alphabet, kind, payloads)
 
 
 @lru_cache(maxsize=8)
@@ -393,10 +408,41 @@ def _check_subadditivity(measure: WeightMeasure, idx: tuple[int, ...]) -> str | 
     return None
 
 
+def _position_bound_all_pairs(measure: WeightMeasure, idx: tuple[int, ...]) -> bool:
+    """Condition 4 of ``normality_conditions`` by its definition.
+
+    last_at_most(a) + first_at_least(b) <= first_at_least(a . b) for every
+    pair of factor weights (the identity included) with a . b at most the
+    word's weight.
+    """
+    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    p = prefix_payloads(ws, idx, ident, comb)
+    values = {ident}
+    for start in range(len(idx)):
+        acc = ident
+        for i in idx[start:]:
+            acc = comb(acc, ws[i])
+            values.add(acc)
+    values = sorted(values)
+    for a in values:
+        last_a = bisect_right(p, a) - 1
+        for b in values:
+            ab = comb(a, b)
+            if ab > p[-1]:
+                break  # so is a . b for every larger b
+            if last_a + bisect_left(p, b) > bisect_left(p, ab):
+                return False
+    return True
+
+
 def _check_pn_equivalences(measure: WeightMeasure, idx: tuple[int, ...]) -> str | None:
-    """The four prefix-normality conditions must agree on every input."""
+    """The four prefix-normality conditions agree, and condition 4 with its definition."""
     verdicts = normality_conditions(measure, Word(measure.alphabet, idx))
-    return f"conditions disagree: {verdicts}" if len(set(verdicts)) != 1 else None
+    if len(set(verdicts)) != 1:
+        return f"conditions disagree: {verdicts}"
+    if verdicts[3] != _position_bound_all_pairs(measure, idx):
+        return f"position bound {verdicts[3]}, but all pairs give {not verdicts[3]}"
+    return None
 
 
 def _check_projection(measure: WeightMeasure, idx: tuple[int, ...]) -> str | None:
@@ -436,7 +482,7 @@ def _random_stepped_measure(rng: random.Random) -> WeightMeasure:
             (base[0] + i * step[0], base[1] + i * step[1]) for i in range(size)
         ]
         kind = MonoidKind.VEC2_LEX
-    return WeightMeasure.from_payloads(alphabet, kind, payloads)
+    return WeightMeasure(alphabet, kind, payloads)
 
 
 def _suite_exchange(seed: int, cases: int = 10_000):
@@ -450,8 +496,8 @@ def _suite_exchange(seed: int, cases: int = 10_000):
     abc = Alphabet(("a", "b", "c"))
     fixed = [
         standard_measure(Alphabet(("a", "b", "c", "d"))),
-        WeightMeasure.from_payloads(abc, MonoidKind.NAT_PRODUCT, (4, 6, 9)),
-        WeightMeasure.from_payloads(abc, MonoidKind.VEC2_LEX, ((0, 2), (1, 1), (2, 0))),
+        WeightMeasure(abc, MonoidKind.NAT_PRODUCT, (4, 6, 9)),
+        WeightMeasure(abc, MonoidKind.VEC2_LEX, ((0, 2), (1, 1), (2, 0))),
     ]
     violations: list[str] = []
     done = 0
@@ -480,7 +526,7 @@ def _suite_prime_gapful(seed: int):
     violations: list[str] = []
     cases = 0
     for triple in itertools.combinations(primes, 3):
-        measure = WeightMeasure.from_payloads(alphabet, MonoidKind.NAT_PRODUCT, triple)
+        measure = WeightMeasure(alphabet, MonoidKind.NAT_PRODUCT, triple)
         cases += 1
         gap = find_gap(measure)
         if gap is None:
@@ -495,7 +541,7 @@ def _suite_prime_gapful(seed: int):
 
 def _suite_vector_gapfree(seed: int, max_len: int = 6):
     """The vector measure (0,2),(1,1),(2,0) is gapfree yet has no step."""
-    measure = WeightMeasure.from_payloads(
+    measure = WeightMeasure(
         Alphabet(("a", "b", "c")), MonoidKind.VEC2_LEX, ((0, 2), (1, 1), (2, 0))
     )
     violations: list[str] = []
@@ -543,9 +589,11 @@ def _suite_stepped_gapfree(seed: int, cases: int = 3_000):
 
 def _suite_trichotomy(seed: int, max_len: int = 5):
     """Class-count predictions versus brute force over the whole corpus."""
+    measures = corpus_measures(seed)
+    _refuse_word_scan(max(len(m.alphabet) for m in measures), max_len)
     violations: list[str] = []
     cases = 0
-    for measure in corpus_measures(seed):
+    for measure in measures:
         done, found = _check_trichotomy(measure, max_len)
         cases += done
         violations.extend(found)
@@ -554,9 +602,11 @@ def _suite_trichotomy(seed: int, max_len: int = 5):
 
 def _suite_gap_decision(seed: int, max_len: int = 6):
     """Fast gapfreeness decision versus exhaustive search, witness shape included."""
+    measures = corpus_measures(seed)
+    _refuse_word_scan(max(len(m.alphabet) for m in measures), max_len)
     violations: list[str] = []
     cases = 0
-    for measure in corpus_measures(seed):
+    for measure in measures:
         cases += 1
         fast = find_gap(measure)
         brute = brute_gap_search(measure, max_len)
@@ -606,8 +656,8 @@ def _suite_equivalence(seed: int, max_len: int = 6):
     violations: list[str] = []
     cases = 0
     abc = Alphabet(("a", "b", "c"))
-    fixture_sum = WeightMeasure.from_payloads(abc, MonoidKind.NAT_SUM, (2, 4, 6))
-    fixture_product = WeightMeasure.from_payloads(abc, MonoidKind.NAT_PRODUCT, (2, 6, 18))
+    fixture_sum = WeightMeasure(abc, MonoidKind.NAT_SUM, (2, 4, 6))
+    fixture_product = WeightMeasure(abc, MonoidKind.NAT_PRODUCT, (2, 6, 18))
     cases += 1
     if not bounded_equivalence(fixture_sum, fixture_product, max_len).equivalent:
         violations.append(
@@ -691,6 +741,7 @@ def _suite_binary_reduction(seed: int, max_len: int = 12):
     window maxima, and per-length count agreement with
     count_binary_prefix_normal.
     """
+    _refuse_word_scan(2, max_len)
     measure = subset_measure(_BINARY_ALPHABET, {"1"})
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     violations: list[str] = []
@@ -713,7 +764,7 @@ def _suite_binary_reduction(seed: int, max_len: int = 12):
                 violations.append(f"word {word} | weighted maxima minus length offset differ")
             classic_count += classic
             weighted_count += weighted
-        counted = count_binary_prefix_normal(length, max_n=max(max_len, 16))
+        counted = count_binary_prefix_normal(length)
         if not (counted == classic_count == weighted_count):
             violations.append(
                 f"length {length} | counts disagree: op={counted} "

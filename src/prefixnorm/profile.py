@@ -174,7 +174,11 @@ def normality_conditions(measure: "WeightMeasure", word: "Word") -> tuple[bool, 
        first_at_least(a . b).
 
     Condition 4 is quantified over the finite set of factor weights of the
-    word (plus the identity); the carrier itself is infinite.
+    word (plus the identity); the carrier itself is infinite.  Both position
+    functions are step functions with at most n + 1 values, and a . b grows
+    in both arguments, so only the least a of each last_at_most value and
+    the least b of each first_at_least value are checked: O(n^2) pairs,
+    where all pairs of factor weights would be O(n^4).
     """
     measure.check_word(word)
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
@@ -206,18 +210,16 @@ def normality_conditions(measure: "WeightMeasure", word: "Word") -> tuple[bool, 
     reach = all(bisect_left(p, weight) <= size for weight, size in shortest.items())
 
     total = p[n]
-    values = sorted(set(shortest) | {ident})
-    positions = True
-    for a in values:
-        last_a = bisect_right(p, a) - 1
-        for b in values:
-            ab = comb(a, b)
-            if ab > total:
-                continue
-            if last_a + bisect_left(p, b) > bisect_left(p, ab):
-                positions = False
-                break
-        if not positions:
-            break
+    least_a: dict = {}
+    least_b: dict = {}
+    for value in sorted(set(shortest) | {ident}):
+        least_a.setdefault(bisect_right(p, value) - 1, value)
+        least_b.setdefault(bisect_left(p, value), value)
+    positions = all(
+        last_a + first_b <= bisect_left(p, ab)
+        for last_a, a in least_a.items()
+        for first_b, b in least_b.items()
+        if (ab := comb(a, b)) <= total
+    )
 
     return (direct, split, reach, positions)

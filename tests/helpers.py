@@ -11,15 +11,15 @@ BITS = Alphabet(("0", "1"))
 
 
 def sum_measure(alphabet, *weights):
-    return WeightMeasure.from_payloads(alphabet, MonoidKind.NAT_SUM, weights)
+    return WeightMeasure(alphabet, MonoidKind.NAT_SUM, weights)
 
 
 def product_measure(alphabet, *weights):
-    return WeightMeasure.from_payloads(alphabet, MonoidKind.NAT_PRODUCT, weights)
+    return WeightMeasure(alphabet, MonoidKind.NAT_PRODUCT, weights)
 
 
 def vec_measure(alphabet, *weights):
-    return WeightMeasure.from_payloads(alphabet, MonoidKind.VEC2_LEX, weights)
+    return WeightMeasure(alphabet, MonoidKind.VEC2_LEX, weights)
 
 
 def w(alphabet, text):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -117,10 +118,38 @@ def test_word_reversal_and_parikh():
 # --- measure construction --------------------------------------------------
 
 
-def test_measure_accepts_explicit_values():
-    values = tuple(MonoidValue(MonoidKind.NAT_SUM, p) for p in (1, 2, 3))
-    measure = WeightMeasure(ANB, MonoidKind.NAT_SUM, values)
-    assert measure.payloads == (1, 2, 3)
+@pytest.mark.parametrize(
+    "payloads",
+    [(1, 2, 3), [1, 2, 3], range(1, 4), (p for p in (1, 2, 3))],
+    ids=["tuple", "list", "range", "generator"],
+)
+def test_measure_stores_any_iterable_of_payloads_as_a_tuple(payloads):
+    measure = WeightMeasure(ANB, MonoidKind.NAT_SUM, payloads)
+    assert measure.payloads == (1, 2, 3) and type(measure.payloads) is tuple
+    assert [f.name for f in dataclasses.fields(measure)] == ["alphabet", "kind", "payloads"]
+    assert not hasattr(measure, "weights")
+    alias = WeightMeasure.from_payloads(ANB, MonoidKind.NAT_SUM, (1, 2, 3))
+    assert measure == alias and hash(measure) == hash(alias)
+
+
+@pytest.mark.parametrize(
+    "kind,payloads,error",
+    [
+        (MonoidKind.NAT_SUM, [MonoidValue(MonoidKind.NAT_SUM, p) for p in (1, 2, 3)], ValueError),
+        (MonoidKind.VEC2_LEX, [MonoidValue(MonoidKind.VEC2_LEX, (0, 1))] * 3, ValueError),
+        (MonoidKind.NAT_SUM, (1, True, 3), ValueError),
+        (MonoidKind.NAT_SUM, (1, -2, 3), ValueError),
+        (MonoidKind.NAT_PRODUCT, (2, 1, 3), IncreasingPropertyViolation),
+        (MonoidKind.VEC2_LEX, ((0, 1), 2, (1, 0)), ValueError),
+        (MonoidKind.NAT_SUM, (1, 2), ValueError),
+        (MonoidKind.NAT_SUM, (1, 2, 3, 4), ValueError),
+    ],
+    ids=["values", "vec2-values", "bool", "negative-sum", "product-one", "bare-int-vec2",
+         "too-few", "too-many"],
+)
+def test_measure_rejects_payloads_outside_the_carrier(kind, payloads, error):
+    with pytest.raises(error):
+        WeightMeasure(ANB, kind, payloads)
 
 
 def test_product_weight_one_violates_increasing_property():
@@ -252,9 +281,7 @@ def test_stepped_step(measure, expected):
 
 
 def test_stepped_vector_measure():
-    measure = WeightMeasure.from_payloads(
-        ABC, MonoidKind.VEC2_LEX, ((1, 0), (2, 1), (3, 2))
-    )
+    measure = WeightMeasure(ABC, MonoidKind.VEC2_LEX, ((1, 0), (2, 1), (3, 2)))
     assert stepped_step(measure).payload == (1, 1)
     assert find_gap(measure) is None
 
@@ -389,7 +416,7 @@ def measure_pairs(draw):
             payloads = [_RANKED[kind](rank) for rank in ranks]
         else:
             payloads = draw(st.lists(_FREE[kind], min_size=size, max_size=size))
-        return WeightMeasure.from_payloads(alphabet, kind, payloads)
+        return WeightMeasure(alphabet, kind, payloads)
 
     return measure(), measure()
 
@@ -492,7 +519,7 @@ def test_every_accepted_measure_round_trips_through_its_spec(tokens, kind, data)
     except ValueError:
         return  # a token the alphabet refuses never reaches a spec
     payloads = data.draw(st.lists(spec_payloads[kind], min_size=len(tokens), max_size=len(tokens)))
-    measure = WeightMeasure.from_payloads(alphabet, kind, payloads)
+    measure = WeightMeasure(alphabet, kind, payloads)
     assert parse_measure_text(measure_text(measure)) == measure
 
 

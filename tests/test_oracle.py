@@ -164,6 +164,32 @@ def test_count_binary_prefix_normal_bound():
         count_binary_prefix_normal(-1)
 
 
+@pytest.mark.parametrize(
+    "scan,count",
+    [
+        (lambda: run_suite("binary-reduction", max_len=17), 2**17),
+        (lambda: run_suite("gap-decision", max_len=9), 4**9),
+        (lambda: run_suite("vector-gapfree", max_len=11), 3**11),
+        (lambda: run_suite("trichotomy", max_len=9), 4**9),
+        (lambda: brute_gap_search(standard_measure(ABC), 10**9), None),
+        (lambda: brute_prefix_normal_set(standard_measure(ABC), Word(ABC, (0,) * 11)), 3**11),
+    ],
+    ids=["binary-reduction", "gap-decision", "vector-gapfree", "trichotomy", "gap-search",
+         "prefix-normal-set"],
+)
+def test_oversized_word_scans_are_refused_up_front(scan, count):
+    # The sweeps refuse for their largest corpus alphabet before the first measure.
+    with pytest.raises(CapacityExceeded) as info:
+        scan()
+    assert info.value.count == count
+
+
+def test_word_scans_over_one_letter_are_never_refused():
+    unary = Alphabet(("a",))
+    word = Word(unary, (0,) * 80)
+    assert brute_equivalence_class(sum_measure(unary, 1), word) == {word}
+
+
 def test_classic_oracle_direct_examples():
     bits = (1, 1, 0, 1, 0, 0, 1)
     assert classic_prefix_ones(bits) == [0, 1, 2, 2, 3, 3, 3, 4]

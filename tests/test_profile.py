@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from prefixnorm import (
     Alphabet,
     MonoidValue,
     OutOfRange,
+    WeightMeasure,
     Word,
     is_prefix_normal,
     normality_conditions,
@@ -157,13 +159,10 @@ def test_profiles_strictly_increase_and_prefix_below_factor_max(case):
 @given(measure_and_word)
 def test_factor_max_subadditive(case):
     measure, word = case
-    from prefixnorm.monoid import combine
-
-    profile = weight_profile(measure, word)
-    f = profile.factor_max
+    f = payloads(weight_profile(measure, word).factor_max)
     for j in range(1, len(word) + 1):
         for i in range(j):
-            assert f[j] <= combine(f[i], f[j - i])
+            assert f[j] <= measure.combine(f[i], f[j - i])
 
 
 @given(measure_and_word)
@@ -180,6 +179,51 @@ def test_four_conditions_agree(case):
     verdicts = normality_conditions(measure, word)
     assert len(set(verdicts)) == 1
     assert verdicts[0] == is_prefix_normal(measure, word)
+
+
+_CONDITION_WEIGHTS = {
+    MonoidKind.NAT_SUM: st.integers(1, 6),
+    MonoidKind.NAT_PRODUCT: st.integers(2, 9),
+    MonoidKind.VEC2_LEX: st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda p: p != (0, 0)
+    ),
+}
+
+
+@st.composite
+def _condition_cases(draw):
+    # Half of the words are sorted by descending weight, hence prefix normal.
+    kind = draw(st.sampled_from(list(MonoidKind)))
+    weights = draw(st.lists(_CONDITION_WEIGHTS[kind], min_size=1, max_size=4))
+    measure = WeightMeasure(Alphabet(tuple("abcd"[: len(weights)])), kind, weights)
+    indices = draw(st.lists(st.integers(0, len(weights) - 1), max_size=12))
+    if draw(st.booleans()):
+        indices.sort(key=lambda i: weights[i], reverse=True)
+    return measure, Word(measure.alphabet, tuple(indices))
+
+
+def _position_bound_over_all_pairs(measure, word):
+    """Condition 4 over every pair of factor weights, the empty factor included."""
+    p = payloads(weight_profile(measure, word).prefix)
+    n = len(word)
+    values = {
+        measure.weight_payload(Word(word.alphabet, word.indices[i:j]))
+        for i in range(n + 1)
+        for j in range(i, n + 1)
+    }
+    comb = measure.combine
+    return all(
+        bisect_right(p, a) - 1 + bisect_left(p, b) <= bisect_left(p, comb(a, b))
+        for a in values
+        for b in values
+        if comb(a, b) <= p[-1]
+    )
+
+
+@given(_condition_cases())
+def test_position_bound_matches_all_pairs_of_factor_weights(case):
+    measure, word = case
+    assert normality_conditions(measure, word)[3] == _position_bound_over_all_pairs(measure, word)
 
 
 def test_prefix_normal_iff_profile_equality_on_exhaustive_small_words():
