@@ -41,6 +41,7 @@ from .normalform import (
     NormalFormResult,
     UniqueNormalForm,
     count_prefix_normal,
+    count_prefix_normal_words,
     equivalence_class,
     prefix_normal_form,
     prefix_normal_set,

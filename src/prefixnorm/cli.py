@@ -18,6 +18,7 @@ from .normalform import (
     MultipleNormalForms,
     NoNormalForm,
     UniqueNormalForm,
+    count_prefix_normal_words,
     equivalence_class,
     prefix_normal_form,
     prefix_normal_set,
@@ -159,6 +160,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
+def _cmd_count_pn(args) -> int:
+    print(count_prefix_normal_words(_load(args), args.n))
+    return EXIT_OK
+
+
 def _cmd_count_binary_pn(args) -> int:
     print(count_binary_prefix_normal(args.n))
     return EXIT_OK
@@ -215,6 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=None)
     add_format(p)
     p.set_defaults(func=_cmd_verify)
+
+    p = sub.add_parser("count-pn", help="count prefix-normal words of length n under a measure")
+    p.add_argument("measure")
+    p.add_argument("n", type=int)
+    p.set_defaults(func=_cmd_count_pn)
 
     p = sub.add_parser("count-binary-pn", help="count binary prefix-normal words of length n")
     p.add_argument("n", type=int)

@@ -23,6 +23,20 @@ class CapacityExceeded(RuntimeError):
         self.count = count
 
 
+def refuse_power(size: int, length: int, what: str, limit: int = DEFAULT_LIMIT) -> None:
+    """Raise ``CapacityExceeded`` when ``size**length`` items exceed ``limit``.
+
+    A huge length is refused without building a huge power: the refusal's
+    ``count`` is exact up to length 64 and ``None`` beyond.  A single
+    choice per position (size 1) is never refused.
+    """
+    if size > 1 and (length >= limit.bit_length() or size**length > limit):
+        raise CapacityExceeded(
+            f"refusing: {size}^{length} {what} exceed the limit of {limit}",
+            count=size**length if length <= 64 else None,
+        )
+
+
 class MeasureSpecError(ValueError):
     """A measure spec file could not be parsed; ``line`` points at the culprit."""
 

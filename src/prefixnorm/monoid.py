@@ -85,6 +85,18 @@ def payload_residual(kind: MonoidKind):
     return _RESIDUAL[kind]
 
 
+def fold_pairs(pairs, scale: int) -> list[int]:
+    """vec2-lex pairs as the ints ``a * scale + b``.
+
+    When ``scale`` exceeds the second component of every sum that will be
+    formed, no sum carries into the first component: the ints then order
+    exactly as the pairs do lexicographically, ``operator.add`` combines
+    them in C, and ``divmod(v, scale)`` decodes a sum.  The profile kernel
+    and the trie walk share this fold; each picks its own scale.
+    """
+    return [a * scale + b for a, b in pairs]
+
+
 def check_payload(kind: MonoidKind, payload: Payload) -> None:
     """Reject payloads outside the kind's carrier."""
     if kind is MonoidKind.VEC2_LEX:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import product, repeat
 from math import prod
-from operator import gt
+from operator import add, eq, ge, gt, or_
 
-from .errors import DEFAULT_LIMIT, CapacityExceeded
+from .errors import DEFAULT_LIMIT, CapacityExceeded, refuse_power
 from .measure import Word, WeightMeasure
+from .monoid import MonoidKind, fold_pairs
 from .profile import factor_max_payloads
 
 
@@ -83,6 +84,34 @@ def count_prefix_normal(measure: WeightMeasure, word: Word) -> int:
     return result.count
 
 
+def _members(measure: WeightMeasure, projected_words) -> set[Word]:
+    """Every source word whose projection is one of ``projected_words`` (index tuples).
+
+    The projection of an injective measure renames no letter, so its tuples
+    are the words themselves.
+    """
+    classes, alphabet = measure.projected.classes, measure.alphabet
+    if len(classes) == len(alphabet):
+        return {Word(alphabet, projected) for projected in projected_words}
+    return {
+        Word(alphabet, combo)
+        for projected in projected_words
+        for combo in product(*map(classes.__getitem__, projected))
+    }
+
+
+def _expansion(measure: WeightMeasure, projected_words) -> int:
+    """How many source words project onto the projected index tuples.
+
+    Each tuple stands for the product of its class sizes; classes of one
+    letter add nothing, so an injective measure counts the tuples.
+    """
+    shared = [(c, size) for c, size in enumerate(measure.projected.class_sizes()) if size > 1]
+    if not shared:
+        return sum(1 for _ in projected_words)
+    return sum(prod([size ** word.count(c) for c, size in shared]) for word in projected_words)
+
+
 def prefix_normal_set(measure: WeightMeasure, word: Word, limit: int = DEFAULT_LIMIT) -> set[Word]:
     """Expand the projected normal form into all concrete prefix-normal words."""
     if limit < 1:
@@ -97,8 +126,7 @@ def prefix_normal_set(measure: WeightMeasure, word: Word, limit: int = DEFAULT_L
             f"{result.count} prefix-normal words exceed the limit of {limit}",
             count=result.count,
         )
-    choices = [measure.projected.classes[c] for c in result.projected.indices]
-    return {Word(measure.alphabet, combo) for combo in itertools.product(*choices)}
+    return _members(measure, [result.projected.indices])
 
 
 def walk_words(measure: WeightMeasure, length: int, target: list | None = None):
@@ -113,59 +141,114 @@ def walk_words(measure: WeightMeasure, length: int, target: list | None = None):
     cannot reach the target's total even when followed by the heaviest factor
     of the remaining length.
 
+    As no factor of a surviving target-mode node outweighs the target, the
+    node keeps one flag per length instead of maxima: whether some factor
+    attains the target.  A word is a member when every flag is set.  A
+    length longer than the letters still to come can only be attained by a
+    factor that starts in the node and ends in those letters, so a node is
+    also cut when no suffix of it, combined with the target of each
+    remaining length, reaches an unattained length's target.  For the last
+    letter this is the member test itself.
+
+    The enumerators walk a projected measure, one letter per distinct
+    weight.  Payloads are walked as ints: vec2-lex pairs go through
+    ``monoid.fold_pairs`` with a scale above the second component of every
+    sum of at most ``length`` letters, and the target is folded alike.
+
     The walk keeps an explicit stack: a self-recursive closure would form a
     reference cycle holding every call's frame until a full collection.
     """
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    if measure.kind is MonoidKind.VEC2_LEX:
+        scale = length * max(b for _, b in ws) + 1
+        ws, ident, comb = fold_pairs(ws, scale), 0, add
+        if target is not None:
+            target = fold_pairs(target, scale)
     letters = tuple(reversed(range(len(ws))))  # reversed, so the stack pops them in order
-    # Per node: its letters, its suffix weights by length (index 0 holds the
-    # identity, the last entry the node's weight), and its factor maxima by
-    # length, which for a prefix-normal node are its prefix weights.
-    stack = [((), [ident], [ident])]
-    while stack:
-        indices, suffixes, maxima = stack.pop()
-        depth = len(indices)
-        if depth == length:
-            if target is None or maxima == target:
+    if target is None:
+        # Per node: its letters, its suffix weights by length (index 0 holds
+        # the identity, the last entry the node's weight) and its prefix weights.
+        stack = [((), [ident], [ident])]
+        while stack:
+            indices, suffixes, prefixes = stack.pop()
+            if len(indices) == length:
                 yield indices
-            continue
-        if target is None:
+                continue
             for letter in letters:
                 weight = ws[letter]
                 grown = [ident, *[comb(s, weight) for s in suffixes]]
-                if not any(map(gt, grown, maxima)):
-                    stack.append((indices + (letter,), grown, [*maxima, grown[-1]]))
+                if not any(map(gt, grown, prefixes)):
+                    stack.append((indices + (letter,), grown, [*prefixes, grown[-1]]))
+        return
+    # Per node: its letters, its suffix weights by length, and per length
+    # whether a factor of the node weighs the target.
+    whole = target[length]
+    stack = [((), [ident], [True])]
+    while stack:
+        indices, suffixes, hits = stack.pop()
+        depth = len(indices)
+        if depth == length:
+            yield indices
             continue
-        rest = target[length - depth - 1]
+        left = length - depth - 1  # letters still to come after a child
+        rest, reached = target[left], target[depth + 1]
         for letter in letters:
             weight = ws[letter]
             total = comb(suffixes[-1], weight)
-            if comb(total, rest) < target[length]:
+            if total > reached or comb(total, rest) < whole:
                 continue
             grown = [ident, *[comb(s, weight) for s in suffixes]]
-            if not any(map(gt, grown, target)):
-                stack.append((indices + (letter,), grown, [*map(max, maxima, grown), total]))
+            if any(map(gt, grown, target)):
+                continue
+            hit = [*map(or_, hits, map(eq, grown, target)), total == reached]
+            # A length above ``left`` that no factor attains yet needs a factor
+            # that ends in the letters to come: a suffix of the child followed
+            # by i of them, which weighs at most that suffix times target[i].
+            due = hit[left + 1:]
+            if due:
+                for i in range(1, left + 1):
+                    ends = map(comb, grown[left + 1 - i:depth + 2 - i], repeat(target[i]))
+                    due = map(or_, due, map(ge, ends, target[left + 1:depth + 2]))
+            if all(due):
+                stack.append((indices + (letter,), grown, hit))
 
 
 def equivalence_class(measure: WeightMeasure, word: Word, limit: int = DEFAULT_LIMIT) -> set[Word]:
     """All same-length words with the same factor-weight profile, by pruned trie walk.
 
-    Exponential by design; the cap still counts all |alphabet|^length
-    candidate words, pruned or not, and refuses alphabets/lengths beyond it.
-    The result always contains the word and its reverse.
+    Profiles depend only on letter weights, so the walk runs over the
+    projected alphabet Σ′ (one letter per distinct weight) and each
+    surviving projected word is expanded into its letter classes.
+    Exponential by design: the walk refuses more than ``limit`` candidate
+    words |Σ′|^length, pruned or not, and the expansion refuses more than
+    ``limit`` members before it builds any word.  The result always
+    contains the word and its reverse.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
     measure.check_word(word)
-    size = len(measure.alphabet)
-    length = len(word.indices)
-    total = size ** length
-    if total > limit:
-        raise CapacityExceeded(
-            f"{size}^{length} = {total} candidate words exceed the limit of {limit}",
-            count=total,
-        )
+    projected, length = measure.projected, len(word.indices)
+    refuse_power(len(projected.classes), length, "candidate words", limit)
     target, _ = factor_max_payloads(
         measure.payloads, word.indices, measure.identity_payload, measure.combine
     )
-    return {Word(measure.alphabet, combo) for combo in walk_words(measure, length, target)}
+    leaves = list(walk_words(projected.measure, length, target))
+    count = _expansion(measure, leaves)
+    if count > limit:
+        raise CapacityExceeded(f"{count} class members exceed the limit of {limit}", count=count)
+    return _members(measure, leaves)
+
+
+def count_prefix_normal_words(measure: WeightMeasure, n: int) -> int:
+    """Number of prefix-normal words of length ``n`` under the measure, never listed.
+
+    Walks the prefix-normal words of the projected alphabet Σ′ and adds up
+    how many source words each one stands for (the product of its class
+    sizes).  Refuses when the |Σ′|^n candidate words exceed
+    ``DEFAULT_LIMIT``, pruned or not.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    projected = measure.projected
+    refuse_power(len(projected.classes), n, "candidate words")
+    return _expansion(measure, walk_words(projected.measure, n))

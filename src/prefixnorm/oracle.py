@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import DEFAULT_LIMIT, CapacityExceeded
+from .errors import refuse_power
 from .measure import (
     Alphabet,
     Gap,
@@ -38,7 +38,12 @@ from .measure import (
     subset_measure,
 )
 from .monoid import MonoidKind
-from .normalform import UniqueNormalForm, count_prefix_normal, prefix_normal_form, walk_words
+from .normalform import (
+    UniqueNormalForm,
+    count_prefix_normal,
+    count_prefix_normal_words,
+    prefix_normal_form,
+)
 from .profile import factor_max_payloads, gap_indexes, normality_conditions, prefix_payloads
 
 DEFAULT_SEED = 271828
@@ -108,22 +113,9 @@ def _running_factor_max(letter_weights, indices, ident, comb):
     return best, starts
 
 
-def _refuse_word_scan(size: int, length: int) -> None:
-    """Refuse to scan the size^length words of one length beyond ``DEFAULT_LIMIT``.
-
-    The refusal's ``count`` is exact up to length 64 and ``None`` beyond,
-    so a huge length is refused without building a huge power.
-    """
-    if size > 1 and (length > 64 or size**length > DEFAULT_LIMIT):
-        raise CapacityExceeded(
-            f"refusing to scan {size}^{length} words (limit {DEFAULT_LIMIT})",
-            count=size**length if length <= 64 else None,
-        )
-
-
 def brute_gap_search(measure: WeightMeasure, max_len: int) -> Gap | None:
     """First definitional gap in (length, lexicographic, index) order, if any."""
-    _refuse_word_scan(len(measure.alphabet), max_len)
+    refuse_power(len(measure.alphabet), max_len, "words")
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     base = sorted(set(ws))
     size = len(measure.alphabet)
@@ -141,7 +133,7 @@ def brute_equivalence_class(measure: WeightMeasure, word: Word) -> set[Word]:
     """Every same-length word whose factor-weight profile equals the word's, by full scan."""
     measure.check_word(word)
     size = len(measure.alphabet)
-    _refuse_word_scan(size, len(word))
+    refuse_power(size, len(word), "words")
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     target, _ = _running_factor_max(ws, word.indices, ident, comb)
     return {
@@ -170,7 +162,7 @@ def _check_trichotomy(measure: WeightMeasure, max_len: int) -> tuple[int, list[s
     against the constructive count.
     """
     size = len(measure.alphabet)
-    _refuse_word_scan(size, max_len)
+    refuse_power(size, max_len, "words")
     flags = classify(measure)
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     line = measure_line(measure)
@@ -221,15 +213,11 @@ def _check_trichotomy(measure: WeightMeasure, max_len: int) -> tuple[int, list[s
 def count_binary_prefix_normal(n: int) -> int:
     """Count prefix-normal words of length n over {0,1} under weights (1,2).
 
-    Walks only prefix-normal prefixes, without listing the words, yet
-    refuses n as if all 2^n words were scanned (n = 16 is the largest
-    accepted).
+    The (1,2) case of ``count_prefix_normal_words``: it walks only
+    prefix-normal prefixes, without listing the words, yet refuses n as if
+    all 2^n words were scanned (n = 16 is the largest accepted).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _refuse_word_scan(2, n)
-    measure = subset_measure(_BINARY_ALPHABET, {"1"})
-    return sum(1 for _ in walk_words(measure, n))
+    return count_prefix_normal_words(subset_measure(_BINARY_ALPHABET, {"1"}), n)
 
 
 def classic_max_ones(bits) -> list[int]:
@@ -590,7 +578,7 @@ def _suite_stepped_gapfree(seed: int, cases: int = 3_000):
 def _suite_trichotomy(seed: int, max_len: int = 5):
     """Class-count predictions versus brute force over the whole corpus."""
     measures = corpus_measures(seed)
-    _refuse_word_scan(max(len(m.alphabet) for m in measures), max_len)
+    refuse_power(max(len(m.alphabet) for m in measures), max_len, "words")
     violations: list[str] = []
     cases = 0
     for measure in measures:
@@ -603,7 +591,7 @@ def _suite_trichotomy(seed: int, max_len: int = 5):
 def _suite_gap_decision(seed: int, max_len: int = 6):
     """Fast gapfreeness decision versus exhaustive search, witness shape included."""
     measures = corpus_measures(seed)
-    _refuse_word_scan(max(len(m.alphabet) for m in measures), max_len)
+    refuse_power(max(len(m.alphabet) for m in measures), max_len, "words")
     violations: list[str] = []
     cases = 0
     for measure in measures:
@@ -741,7 +729,7 @@ def _suite_binary_reduction(seed: int, max_len: int = 12):
     window maxima, and per-length count agreement with
     count_binary_prefix_normal.
     """
-    _refuse_word_scan(2, max_len)
+    refuse_power(2, max_len, "words")
     measure = subset_measure(_BINARY_ALPHABET, {"1"})
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     violations: list[str] = []

@@ -15,7 +15,7 @@ from operator import add
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import OutOfRange
-from .monoid import MonoidKind, MonoidValue, payload_combine
+from .monoid import MonoidKind, MonoidValue, fold_pairs, payload_combine
 
 if TYPE_CHECKING:
     from .measure import Word, WeightMeasure
@@ -32,17 +32,15 @@ def factor_max_payloads(letter_weights: Sequence, indices: Sequence[int], ident,
     letter per step, so O(n^2) combines and one running value alive at a
     time.  Only combines are used, no inverse.
 
-    vec2-lex pairs are folded into ints ``a * M + b`` for the kernel only,
-    with ``M`` one more than the word's total second component.  No window
-    sum can carry into the first component, so the ints order exactly as
-    the pairs do lexicographically, and ``operator.add`` combines them in C;
-    the maxima are decoded with ``divmod``.
+    vec2-lex pairs go through ``monoid.fold_pairs`` for the kernel only,
+    with the scale one more than the word's total second component, which
+    bounds every window sum; the maxima are decoded with ``divmod``.
     """
     letters = [letter_weights[i] for i in indices]
     scale = 0
     if comb is _VEC_ADD:
         scale = sum(b for _, b in letters) + 1
-        letters = [a * scale + b for a, b in letters]
+        letters = fold_pairs(letters, scale)
         ident, comb = 0, add
     # Every window weighs at least the identity, the minimum of every carrier,
     # so a strictly heavier window is the first to beat the initial entry.

@@ -138,6 +138,17 @@ def test_class_limit_is_a_domain_error(capsys, spec):
     assert "exceed the limit" in captured.err
 
 
+def test_count_pn(capsys, spec):
+    triple = "monoid = nat-sum\nletters = a b c d\nweights = 1 1 1 2\n"
+    assert main(["count-pn", spec(triple), "4"]) == 0
+    assert capsys.readouterr().out == "142\n"
+
+
+def test_count_pn_over_bound(capsys, spec):
+    assert main(["count-pn", spec(NANABA), "11"]) == 1
+    assert "refusing" in capsys.readouterr().err
+
+
 def test_count_binary_pn(capsys):
     assert main(["count-binary-pn", "3"]) == 0
     assert capsys.readouterr().out == "5\n"

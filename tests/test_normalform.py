@@ -1,15 +1,20 @@
+import itertools
 import random
 
 import pytest
 
-from helpers import ABC, ANB, ANBX, ANCB, ANX, sum_measure, w, words
+from helpers import ABC, ANB, ANBX, ANCB, ANX, product_measure, sum_measure, w, words
 from prefixnorm import (
+    Alphabet,
     CapacityExceeded,
     MultipleNormalForms,
     NoNormalForm,
     UniqueNormalForm,
     Word,
+    brute_equivalence_class,
+    count_binary_prefix_normal,
     count_prefix_normal,
+    count_prefix_normal_words,
     equivalence_class,
     is_prefix_normal,
     prefix_normal_form,
@@ -107,6 +112,71 @@ def test_equivalence_class_respects_limit():
     assert info.value.count == 3**6
 
 
+ABCD = Alphabet(("a", "b", "c", "d"))
+# Three letters share one weight: the walk searches 2^n projected words.
+TRIPLE = sum_measure(ABCD, 1, 1, 1, 2)
+
+
+def test_equivalence_class_searches_the_projected_alphabet():
+    # 4^9 words exceed the limit, the 2^9 projected candidates do not; the
+    # class is every word over the three weight-1 letters.
+    word = Word(ABCD, (0,) * 9)
+    members = equivalence_class(TRIPLE, word)
+    assert members == {Word(ABCD, c) for c in itertools.product(range(3), repeat=9)}
+    assert len(members) == 3**9
+    shorter = Word(ABCD, (0,) * 8)
+    assert equivalence_class(TRIPLE, shorter) == brute_equivalence_class(TRIPLE, shorter)
+
+
+def test_equivalence_class_refuses_a_large_expansion():
+    with pytest.raises(CapacityExceeded) as info:
+        equivalence_class(TRIPLE, Word(ABCD, (0,) * 9), limit=1000)
+    assert info.value.count == 3**9
+
+
+@pytest.mark.parametrize(
+    "measure, counts",
+    [
+        (sum_measure(ABC, 2, 4, 6), {6: 180, 8: 1133, 10: 7483}),
+        (product_measure(ABC, 2, 6, 18), {6: 180, 8: 1133, 10: 7483}),
+        (product_measure(ABC, 2, 3, 5), {6: 179, 8: 1116, 10: 7278}),
+        (TRIPLE, {4: 142, 6: 1603}),
+    ],
+    ids=["sum-2-4-6", "product-2-6-18", "product-2-3-5", "sum-1-1-1-2"],
+)
+def test_count_prefix_normal_words_pins(measure, counts):
+    assert {n: count_prefix_normal_words(measure, n) for n in counts} == counts
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_count_prefix_normal_words_matches_the_predicate(n):
+    size = len(TRIPLE.alphabet)
+    words_of_n = (Word(ABCD, c) for c in itertools.product(range(size), repeat=n))
+    assert count_prefix_normal_words(TRIPLE, n) == sum(
+        is_prefix_normal(TRIPLE, word) for word in words_of_n
+    )
+
+
+def test_count_prefix_normal_words_generalises_the_binary_count():
+    binary = sum_measure(Alphabet(("0", "1")), 1, 2)
+    assert [count_prefix_normal_words(binary, n) for n in range(17)] == [
+        count_binary_prefix_normal(n) for n in range(17)
+    ]
+
+
+def test_count_prefix_normal_words_refuses_projected_candidates():
+    # The cap counts projected words: 2^16 are searched for 4^16 words.
+    assert count_prefix_normal_words(TRIPLE, 16) > 0
+    with pytest.raises(CapacityExceeded) as info:
+        count_prefix_normal_words(TRIPLE, 17)
+    assert info.value.count == 2**17
+    with pytest.raises(CapacityExceeded) as info:
+        count_prefix_normal_words(MU_ANB, 11)
+    assert info.value.count == 3**11
+    with pytest.raises(ValueError):
+        count_prefix_normal_words(MU_ANB, -1)
+
+
 def test_class_members_share_profiles_and_contain_reversal():
     word = w(ANCB, "bcan")
     members = equivalence_class(MU_ANCB, word)
@@ -141,8 +211,6 @@ def test_multiple_count_is_the_product_of_class_sizes():
 
 
 def test_equivalent_measures_share_the_normal_form():
-    from helpers import product_measure
-
     word = w(ABC, "bcac")
     for measure in (sum_measure(ABC, 2, 4, 6), product_measure(ABC, 2, 6, 18)):
         result = prefix_normal_form(measure, word)

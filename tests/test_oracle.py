@@ -6,11 +6,15 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import ABC, ANB, ANCB, ANX, product_measure, sum_measure, vec_measure, w, words
 from prefixnorm import (
     Alphabet,
     CapacityExceeded,
+    MonoidKind,
+    WeightMeasure,
     Word,
     brute_equivalence_class,
     brute_gap_search,
@@ -109,6 +113,38 @@ def test_equivalence_class_matches_brute_force_on_all_short_words(measure, max_l
             for member in brute:
                 assert equivalence_class(measure, member) == brute
                 covered.add(member.indices)
+
+
+_PAYLOADS = {
+    MonoidKind.NAT_SUM: st.integers(1, 6),
+    MonoidKind.NAT_PRODUCT: st.integers(2, 12),
+    # Second components up to 1000, and often tiny ones: a fold whose scale
+    # is too small then maps distinct sums to one int.
+    MonoidKind.VEC2_LEX: st.tuples(
+        st.integers(0, 3), st.integers(0, 2) | st.integers(0, 1000)
+    ).filter(any),
+}
+
+
+@st.composite
+def measures_and_words(draw, tied: bool):
+    kind = draw(st.sampled_from(MonoidKind))
+    size = draw(st.integers(2, 3))
+    payloads = draw(st.lists(_PAYLOADS[kind], min_size=size, max_size=size))
+    if tied:
+        # One letter takes another's weight, so the projection merges them.
+        first, second = draw(st.permutations(range(size)))[:2]
+        payloads[first] = payloads[second]
+    alphabet = Alphabet(tuple("abc"[:size]))
+    indices = draw(st.lists(st.integers(0, size - 1), max_size=6))
+    return WeightMeasure(alphabet, kind, payloads), Word(alphabet, tuple(indices))
+
+
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "free"])
+@given(data=st.data())
+def test_equivalence_class_matches_brute_force_on_random_measures(tied, data):
+    measure, word = data.draw(measures_and_words(tied))
+    assert equivalence_class(measure, word) == brute_equivalence_class(measure, word)
 
 
 @pytest.mark.parametrize(
