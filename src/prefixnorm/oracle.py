@@ -2,14 +2,18 @@
 
 Everything here recomputes derived quantities straight from their
 definitions (full word enumeration, window scans) so the fast paths in the
-other modules can be checked against an independent route.  Sweeps are
-deterministic for a fixed seed and report exact case counts plus a
-replayable line per counterexample.
+other modules can be checked against an independent route.  ``_scan`` is
+the one definitional word scan, with the factor maxima of the separate
+kernel ``_running_factor_max``.  Every full scan of the |Σ|^n words of one
+length refuses up front, with ``CapacityExceeded``, when that count
+exceeds ``DEFAULT_LIMIT``: ``_scan`` when called, and the binary count and
+the binary-reduction sweep, whose own scans check the fast kernel.
 
-Every full scan of the |Σ|^n words of one length refuses up front, with
-``CapacityExceeded``, when that count exceeds ``DEFAULT_LIMIT``: the brute
-oracles, the trichotomy check, the binary count and the binary-reduction
-sweep, so an oversized request fails at once instead of running for hours.
+Every other sweep is a deterministic stream of measures and a check
+``check(measure) -> (cases, problems)``, both run by the one driver
+``_sweep``.  It counts the cases and writes one replayable line per
+problem, ``measure[…] | [word … |] problem``; ``equivalence`` adds
+``measure[…] vs measure[…] | problem`` lines for its measure pairs.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import refuse_power
+from .errors import DEFAULT_LIMIT, CapacityExceeded, refuse_power
 from .measure import (
     Alphabet,
     Gap,
@@ -48,7 +52,13 @@ from .profile import factor_max_payloads, gap_indexes, normality_conditions, pre
 
 DEFAULT_SEED = 271828
 
+# Most words of their longest length that the corpus sweeps scan, over all measures.
+_CORPUS_LIMIT = 10 * DEFAULT_LIMIT
+
 _BINARY_ALPHABET = Alphabet(("0", "1"))
+_ABC = Alphabet(("a", "b", "c"))
+# Gapfree yet unstepped (the vector-gapfree sweep); a fixture of the corpus and of exchange.
+_VECTOR = WeightMeasure(_ABC, MonoidKind.VEC2_LEX, ((0, 2), (1, 1), (2, 0)))
 
 
 @dataclass(frozen=True)
@@ -113,34 +123,40 @@ def _running_factor_max(letter_weights, indices, ident, comb):
     return best, starts
 
 
+def _scan(measure: WeightMeasure, lengths: range):
+    """``(indices, factor maxima)`` of every word of the ascending ``lengths``, in order.
+
+    The call itself refuses when the last length has over ``DEFAULT_LIMIT`` words.
+    """
+    size = len(measure.alphabet)
+    if lengths:
+        refuse_power(size, lengths[-1], "words")
+    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    return (
+        (indices, _running_factor_max(ws, indices, ident, comb)[0])
+        for length in lengths
+        for indices in itertools.product(range(size), repeat=length)
+    )
+
+
 def brute_gap_search(measure: WeightMeasure, max_len: int) -> Gap | None:
     """First definitional gap in (length, lexicographic, index) order, if any."""
-    refuse_power(len(measure.alphabet), max_len, "words")
-    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-    base = sorted(set(ws))
-    size = len(measure.alphabet)
-    for length in range(1, max_len + 1):
-        for combo in itertools.product(range(size), repeat=length):
-            f, _ = _running_factor_max(ws, combo, ident, comb)
-            for i in range(1, length + 1):
-                prev, target = f[i - 1], f[i]
-                if not any(comb(prev, b) == target for b in base):
-                    return Gap(Word(measure.alphabet, combo), i)
+    base, comb = sorted(set(measure.payloads)), measure.combine
+    for indices, f in _scan(measure, range(1, max_len + 1)):
+        for i in range(1, len(indices) + 1):
+            if not any(comb(f[i - 1], b) == f[i] for b in base):
+                return Gap(Word(measure.alphabet, indices), i)
     return None
 
 
 def brute_equivalence_class(measure: WeightMeasure, word: Word) -> set[Word]:
     """Every same-length word whose factor-weight profile equals the word's, by full scan."""
     measure.check_word(word)
-    size = len(measure.alphabet)
-    refuse_power(size, len(word), "words")
-    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-    target, _ = _running_factor_max(ws, word.indices, ident, comb)
-    return {
-        Word(measure.alphabet, combo)
-        for combo in itertools.product(range(size), repeat=len(word.indices))
-        if _running_factor_max(ws, combo, ident, comb)[0] == target
-    }
+    scan = _scan(measure, range(len(word), len(word) + 1))
+    target, _ = _running_factor_max(
+        measure.payloads, word.indices, measure.identity_payload, measure.combine
+    )
+    return {Word(measure.alphabet, indices) for indices, f in scan if f == target}
 
 
 def brute_prefix_normal_set(measure: WeightMeasure, word: Word) -> set[Word]:
@@ -161,53 +177,45 @@ def _check_trichotomy(measure: WeightMeasure, max_len: int) -> tuple[int, list[s
     otherwise (gaps appear by length 4).  Each class count is also checked
     against the constructive count.
     """
-    size = len(measure.alphabet)
-    refuse_power(size, max_len, "words")
+    scan = _scan(measure, range(1, max_len + 1))
     flags = classify(measure)
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-    line = measure_line(measure)
-    violations: list[str] = []
+    problems: list[str] = []
     cases = 0
+    # Profiles of different lengths differ in length, so one dict keeps the
+    # classes apart and in scan order.
+    groups: dict[tuple, list] = {}
+    for indices, f in scan:
+        cases += 1
+        group = groups.setdefault(tuple(f), [0, indices])
+        if prefix_payloads(ws, indices, ident, comb) == f:
+            group[0] += 1
     found_empty = found_multi = False
-    for length in range(1, max_len + 1):
-        groups: dict[tuple, list] = {}
-        for combo in itertools.product(range(size), repeat=length):
-            f, _ = _running_factor_max(ws, combo, ident, comb)
-            cases += 1
-            key = tuple(f)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = group = [0, combo]
-            if prefix_payloads(ws, combo, ident, comb) == f:
-                group[0] += 1
-        for pn_count, first_combo in groups.values():
-            representative = Word(measure.alphabet, first_combo)
-            if pn_count == 0:
-                found_empty = True
-                if flags.gapfree:
-                    violations.append(
-                        f"{line} | word {representative} | gapfree measure, empty prefix-normal set"
-                    )
-            elif pn_count > 1:
-                found_multi = True
-                if flags.injective:
-                    violations.append(
-                        f"{line} | word {representative} | injective measure, "
-                        f"{pn_count} prefix-normal words"
-                    )
-            predicted = count_prefix_normal(measure, representative)
-            if predicted != pn_count:
-                violations.append(
-                    f"{line} | word {representative} | predicted count {predicted}, "
-                    f"brute force found {pn_count}"
+    for pn_count, first_indices in groups.values():
+        representative = Word(measure.alphabet, first_indices)
+        if pn_count == 0:
+            found_empty = True
+            if flags.gapfree:
+                problems.append(f"word {representative} | gapfree measure, empty prefix-normal set")
+        elif pn_count > 1:
+            found_multi = True
+            if flags.injective:
+                problems.append(
+                    f"word {representative} | injective measure, {pn_count} prefix-normal words"
                 )
+        predicted = count_prefix_normal(measure, representative)
+        if predicted != pn_count:
+            problems.append(
+                f"word {representative} | predicted count {predicted}, "
+                f"brute force found {pn_count}"
+            )
     # Existence guarantees: a gap word appears by length 4, a multi-member
     # class already at length 1, so only enforce within reach of the bound.
     if not flags.gapfree and not found_empty and max_len >= 4:
-        violations.append(f"{line} | gapful, but no empty class up to length {max_len}")
+        problems.append(f"gapful, but no empty class up to length {max_len}")
     if not flags.injective and not found_multi:
-        violations.append(f"{line} | non-injective, but no multi-member class up to length {max_len}")
-    return cases, violations
+        problems.append(f"non-injective, but no multi-member class up to length {max_len}")
+    return cases, problems
 
 
 def count_binary_prefix_normal(n: int) -> int:
@@ -257,26 +265,21 @@ def is_prefix_normal_classic(bits) -> bool:
 
 
 def _fixture_measures() -> list[WeightMeasure]:
-    abc = Alphabet(("a", "b", "c"))
-    anb = Alphabet(("a", "n", "b"))
-    anx = Alphabet(("a", "n", "x"))
-    ancb = Alphabet(("a", "n", "c", "b"))
-    anbx = Alphabet(("a", "n", "b", "x"))
     return [
         standard_measure(Alphabet(("a", "b"))),
-        standard_measure(abc),
+        standard_measure(_ABC),
         standard_measure(Alphabet(("a", "b", "c", "d"))),
-        WeightMeasure(anb, MonoidKind.NAT_SUM, (1, 2, 3)),
-        WeightMeasure(ancb, MonoidKind.NAT_SUM, (1, 2, 2, 3)),
-        WeightMeasure(anbx, MonoidKind.NAT_SUM, (1, 2, 3, 4)),
-        WeightMeasure(anx, MonoidKind.NAT_SUM, (1, 2, 4)),
-        WeightMeasure(abc, MonoidKind.NAT_SUM, (1, 2, 4)),
-        WeightMeasure(abc, MonoidKind.NAT_SUM, (1, 3, 4)),
-        WeightMeasure(abc, MonoidKind.NAT_SUM, (2, 4, 6)),
-        WeightMeasure(abc, MonoidKind.NAT_PRODUCT, (2, 6, 18)),
-        WeightMeasure(abc, MonoidKind.NAT_PRODUCT, (2, 3, 5)),
-        WeightMeasure(abc, MonoidKind.NAT_PRODUCT, (4, 6, 9)),
-        WeightMeasure(abc, MonoidKind.VEC2_LEX, ((0, 2), (1, 1), (2, 0))),
+        WeightMeasure(Alphabet(("a", "n", "b")), MonoidKind.NAT_SUM, (1, 2, 3)),
+        WeightMeasure(Alphabet(("a", "n", "c", "b")), MonoidKind.NAT_SUM, (1, 2, 2, 3)),
+        WeightMeasure(Alphabet(("a", "n", "b", "x")), MonoidKind.NAT_SUM, (1, 2, 3, 4)),
+        WeightMeasure(Alphabet(("a", "n", "x")), MonoidKind.NAT_SUM, (1, 2, 4)),
+        WeightMeasure(_ABC, MonoidKind.NAT_SUM, (1, 2, 4)),
+        WeightMeasure(_ABC, MonoidKind.NAT_SUM, (1, 3, 4)),
+        WeightMeasure(_ABC, MonoidKind.NAT_SUM, (2, 4, 6)),
+        WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, (2, 6, 18)),
+        WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, (2, 3, 5)),
+        WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, (4, 6, 9)),
+        _VECTOR,
         subset_measure(_BINARY_ALPHABET, {"1"}),
     ]
 
@@ -316,6 +319,23 @@ def corpus_measures(seed: int = DEFAULT_SEED) -> tuple[WeightMeasure, ...]:
 # Suites
 
 
+def _sweep(measures, check, cases: int | None = None) -> tuple[int, list[str]]:
+    """Sum ``check(measure) -> (cases, problems)`` over the measures; one line per problem.
+
+    Given ``cases``, stop after the measure that brings the count to it.
+    """
+    count = 0
+    violations: list[str] = []
+    for measure in measures:
+        done, problems = check(measure)
+        count += done
+        for problem in problems:
+            violations.append(f"{measure_line(measure)} | {problem}")
+        if cases is not None and count >= cases:
+            break
+    return count, violations
+
+
 def _word_sweep(check, default_max_len: int = 6):
     """A suite that runs ``check(measure, indices)`` on seeded random cases.
 
@@ -327,17 +347,13 @@ def _word_sweep(check, default_max_len: int = 6):
     def run(seed: int, cases: int = 10_000, max_len: int = default_max_len):
         rng = random.Random(seed)
         pool = [_random_measure(rng) for _ in range(200)]
-        violations: list[str] = []
-        for _ in range(cases):
-            measure = rng.choice(pool)
-            length = rng.randint(0, max_len)
-            idx = tuple(rng.randrange(len(measure.alphabet)) for _ in range(length))
+
+        def check_word(measure):
+            idx = tuple(rng.randrange(len(measure.alphabet)) for _ in range(rng.randint(0, max_len)))
             problem = check(measure, idx)
-            if problem:
-                violations.append(
-                    f"{measure_line(measure)} | word {Word(measure.alphabet, idx)} | {problem}"
-                )
-        return cases, violations
+            return 1, (f"word {Word(measure.alphabet, idx)} | {problem}",) if problem else ()
+
+        return _sweep((rng.choice(pool) for _ in range(cases)), check_word)
 
     return run
 
@@ -473,6 +489,17 @@ def _random_stepped_measure(rng: random.Random) -> WeightMeasure:
     return WeightMeasure(alphabet, kind, payloads)
 
 
+def _check_exchange(measure: WeightMeasure) -> tuple[int, list[str]]:
+    ws, comb = measure.payloads, measure.combine
+    size = len(ws)
+    triples = [(i, x, y) for i in range(size) for x in range(2, size - i) for y in range(1, x)]
+    return len(triples), [
+        f"positions i={i} x={x} y={y} | exchange identity broken"
+        for i, x, y in triples
+        if comb(ws[i], ws[i + x]) != comb(ws[i + y], ws[i + x - y])
+    ]
+
+
 def _suite_exchange(seed: int, cases: int = 10_000):
     """Weight-exchange identity for gapfree injective weight-ordered measures.
 
@@ -481,67 +508,69 @@ def _suite_exchange(seed: int, cases: int = 10_000):
     w_i . w_{i+x} == w_{i+y} . w_{i+x-y}.
     """
     rng = random.Random(seed)
-    abc = Alphabet(("a", "b", "c"))
-    fixed = [
+    fixtures = [
         standard_measure(Alphabet(("a", "b", "c", "d"))),
-        WeightMeasure(abc, MonoidKind.NAT_PRODUCT, (4, 6, 9)),
-        WeightMeasure(abc, MonoidKind.VEC2_LEX, ((0, 2), (1, 1), (2, 0))),
+        WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, (4, 6, 9)),
+        _VECTOR,
     ]
-    violations: list[str] = []
-    done = 0
-    queue: list[WeightMeasure] = list(fixed)
-    while done < cases:
-        measure = queue.pop() if queue else _random_stepped_measure(rng)
-        ws = measure.payloads
-        comb = measure.combine
-        size = len(ws)
-        for i in range(size):
-            for x in range(2, size - i):
-                for y in range(1, x):
-                    done += 1
-                    if comb(ws[i], ws[i + x]) != comb(ws[i + y], ws[i + x - y]):
-                        violations.append(
-                            f"{measure_line(measure)} | positions i={i} x={x} y={y} | "
-                            f"exchange identity broken"
-                        )
-    return done, violations
+    measures = (
+        fixtures.pop() if fixtures else _random_stepped_measure(rng) for _ in itertools.count()
+    )
+    return _sweep(measures, _check_exchange, cases)
+
+
+def _check_prime_gapful(measure: WeightMeasure) -> tuple[int, list[str]]:
+    gap = find_gap(measure)
+    if gap is None:
+        return 1, ["classified gapfree"]
+    problems = []
+    if len(gap.word) != 4 or gap.index not in gap_indexes(measure, gap.word):
+        problems.append(f"witness {gap.word} not a real gap")
+    if brute_gap_search(measure, 4) is None:
+        problems.append("brute force found no gap by length 4")
+    return 1, problems
 
 
 def _suite_prime_gapful(seed: int):
     """Every product measure with three distinct prime weights up to 20 has a gap."""
     primes = [p for p in range(2, 21) if all(p % d for d in range(2, p))]
-    alphabet = Alphabet(("a", "b", "c"))
-    violations: list[str] = []
-    cases = 0
-    for triple in itertools.combinations(primes, 3):
-        measure = WeightMeasure(alphabet, MonoidKind.NAT_PRODUCT, triple)
-        cases += 1
-        gap = find_gap(measure)
-        if gap is None:
-            violations.append(f"{measure_line(measure)} | classified gapfree")
-            continue
-        if len(gap.word) != 4 or gap.index not in gap_indexes(measure, gap.word):
-            violations.append(f"{measure_line(measure)} | witness {gap.word} not a real gap")
-        if brute_gap_search(measure, 4) is None:
-            violations.append(f"{measure_line(measure)} | brute force found no gap by length 4")
-    return cases, violations
+    measures = (
+        WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, triple)
+        for triple in itertools.combinations(primes, 3)
+    )
+    return _sweep(measures, _check_prime_gapful)
 
 
 def _suite_vector_gapfree(seed: int, max_len: int = 6):
     """The vector measure (0,2),(1,1),(2,0) is gapfree yet has no step."""
-    measure = WeightMeasure(
-        Alphabet(("a", "b", "c")), MonoidKind.VEC2_LEX, ((0, 2), (1, 1), (2, 0))
-    )
-    violations: list[str] = []
-    if stepped_step(measure) is not None:
-        violations.append(f"{measure_line(measure)} | unexpected step found")
-    if find_gap(measure) is not None:
-        violations.append(f"{measure_line(measure)} | decision procedure reported a gap")
-    brute = brute_gap_search(measure, max_len)
-    if brute is not None:
-        violations.append(f"{measure_line(measure)} | brute force found a gap at {brute.word}")
-    cases = sum(3 ** n for n in range(1, max_len + 1)) + 2
-    return cases, violations
+
+    def check(measure):
+        problems = []
+        if stepped_step(measure) is not None:
+            problems.append("unexpected step found")
+        if find_gap(measure) is not None:
+            problems.append("decision procedure reported a gap")
+        brute = brute_gap_search(measure, max_len)
+        if brute is not None:
+            problems.append(f"brute force found a gap at {brute.word}")
+        return sum(3 ** n for n in range(1, max_len + 1)) + 2, problems
+
+    return _sweep([_VECTOR], check)
+
+
+def _check_stepped_gapfree(measure: WeightMeasure) -> tuple[int, list[str]]:
+    step = stepped_step(measure)
+    gapfree = find_gap(measure) is None
+    if step is not None and not gapfree:
+        return 1, ["stepped measure with a gap"]
+    # Precondition for "gapfree implies stepped": every larger base weight
+    # is reachable from every smaller one by a single carrier element.
+    distinct = sorted(set(measure.payloads))
+    pairs = itertools.combinations(distinct, 2)
+    if len(distinct) > 2 and all(measure.residual(a, b) is not None for a, b in pairs):
+        if gapfree != (step is not None):
+            return 1, [f"gapfree={gapfree} but stepped={step}"]
+    return 1, []
 
 
 def _suite_stepped_gapfree(seed: int, cases: int = 3_000):
@@ -553,80 +582,57 @@ def _suite_stepped_gapfree(seed: int, cases: int = 3_000):
     (4,6,9) are gapfree but unstepped).
     """
     rng = random.Random(seed)
-    violations: list[str] = []
-    done = 0
-    while done < cases:
-        measure = _random_stepped_measure(rng) if rng.random() < 0.4 else _random_measure(rng)
-        done += 1
-        step = stepped_step(measure)
-        gapfree = find_gap(measure) is None
-        if step is not None and not gapfree:
-            violations.append(f"{measure_line(measure)} | stepped measure with a gap")
-            continue
-        # Precondition for "gapfree implies stepped": every larger base weight
-        # is reachable from every smaller one by a single carrier element.
-        distinct = sorted(set(measure.payloads))
-        pairs = itertools.combinations(distinct, 2)
-        if len(distinct) > 2 and all(measure.residual(a, b) is not None for a, b in pairs):
-            if gapfree != (step is not None):
-                violations.append(
-                    f"{measure_line(measure)} | gapfree={gapfree} but stepped={step}"
-                )
-    return done, violations
+    measures = (
+        _random_stepped_measure(rng) if rng.random() < 0.4 else _random_measure(rng)
+        for _ in range(cases)
+    )
+    return _sweep(measures, _check_stepped_gapfree)
+
+
+def _corpus(seed: int, max_len: int) -> tuple[WeightMeasure, ...]:
+    """The corpus, unless its words of length ``max_len`` are too many to scan."""
+    measures = corpus_measures(seed)
+    refuse_power(max(len(m.alphabet) for m in measures), max_len, "words")
+    total = sum(len(m.alphabet) ** max_len for m in measures)
+    if total > _CORPUS_LIMIT:
+        message = f"refusing: {total} corpus words of length {max_len}"
+        raise CapacityExceeded(f"{message} exceed the limit of {_CORPUS_LIMIT}", count=total)
+    return measures
 
 
 def _suite_trichotomy(seed: int, max_len: int = 5):
     """Class-count predictions versus brute force over the whole corpus."""
-    measures = corpus_measures(seed)
-    refuse_power(max(len(m.alphabet) for m in measures), max_len, "words")
-    violations: list[str] = []
-    cases = 0
-    for measure in measures:
-        done, found = _check_trichotomy(measure, max_len)
-        cases += done
-        violations.extend(found)
-    return cases, violations
+    return _sweep(_corpus(seed, max_len), lambda measure: _check_trichotomy(measure, max_len))
+
+
+def _check_gap_decision(measure: WeightMeasure, max_len: int) -> tuple[int, list[str]]:
+    fast = find_gap(measure)
+    brute = brute_gap_search(measure, max_len)
+    if (fast is None) != (brute is None):
+        return 1, [
+            f"decision says {'gapfree' if fast is None else 'gapful'}, "
+            f"brute force says {'gapfree' if brute is None else 'gapful'}"
+        ]
+    if fast is None:
+        return 1, []
+    witness = fast.word
+    ws = [measure.payloads[i] for i in witness.indices]
+    shape_ok = (
+        len(witness) == 4
+        and fast.index == 3
+        and ws[0] == ws[2]
+        and ws[1] < ws[3] < ws[0]
+    )
+    if not shape_ok:
+        return 1, [f"witness {witness} is not high-low-high-mid shaped"]
+    if fast.index not in gap_indexes(measure, witness):
+        return 1, [f"witness {witness} fails the definitional gap check"]
+    return 1, []
 
 
 def _suite_gap_decision(seed: int, max_len: int = 6):
     """Fast gapfreeness decision versus exhaustive search, witness shape included."""
-    measures = corpus_measures(seed)
-    refuse_power(max(len(m.alphabet) for m in measures), max_len, "words")
-    violations: list[str] = []
-    cases = 0
-    for measure in measures:
-        cases += 1
-        fast = find_gap(measure)
-        brute = brute_gap_search(measure, max_len)
-        line = measure_line(measure)
-        if (fast is None) != (brute is None):
-            violations.append(
-                f"{line} | decision says {'gapfree' if fast is None else 'gapful'}, "
-                f"brute force says {'gapfree' if brute is None else 'gapful'}"
-            )
-            continue
-        if fast is None:
-            continue
-        witness = fast.word
-        ws = [measure.payloads[i] for i in witness.indices]
-        shape_ok = (
-            len(witness) == 4
-            and fast.index == 3
-            and ws[0] == ws[2]
-            and ws[1] < ws[3] < ws[0]
-        )
-        if not shape_ok:
-            violations.append(f"{line} | witness {witness} is not high-low-high-mid shaped")
-        elif fast.index not in gap_indexes(measure, witness):
-            violations.append(f"{line} | witness {witness} fails the definitional gap check")
-    return cases, violations
-
-
-def _all_words(alphabet: Alphabet, max_len: int):
-    size = len(alphabet)
-    for length in range(max_len + 1):
-        for combo in itertools.product(range(size), repeat=length):
-            yield Word(alphabet, combo)
+    return _sweep(_corpus(seed, max_len), lambda measure: _check_gap_decision(measure, max_len))
 
 
 def _suite_equivalence(seed: int, max_len: int = 6):
@@ -642,63 +648,53 @@ def _suite_equivalence(seed: int, max_len: int = 6):
     flags, compared up to length 4.
     """
     violations: list[str] = []
-    cases = 0
-    abc = Alphabet(("a", "b", "c"))
-    fixture_sum = WeightMeasure(abc, MonoidKind.NAT_SUM, (2, 4, 6))
-    fixture_product = WeightMeasure(abc, MonoidKind.NAT_PRODUCT, (2, 6, 18))
-    cases += 1
+    cases = 1
+    fixture_sum = WeightMeasure(_ABC, MonoidKind.NAT_SUM, (2, 4, 6))
+    fixture_product = WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, (2, 6, 18))
     if not bounded_equivalence(fixture_sum, fixture_product, max_len).equivalent:
         violations.append(
             f"{measure_line(fixture_sum)} vs {measure_line(fixture_product)} | "
             f"expected equivalence up to length {max_len}"
         )
 
-    measures = corpus_measures(seed)
     groups: dict[tuple[str, ...], list[WeightMeasure]] = {}
-    for measure in measures:
+    for measure in corpus_measures(seed):
         groups.setdefault(measure.alphabet.letters, []).append(measure)
 
-    rng = random.Random(seed)
-    for letters in sorted(groups):
-        group = groups[letters]
-        alphabet = Alphabet(letters)
+    # Every word of at most 5 letters with its standard normal form.  The
+    # measures come sorted by alphabet, so the cache holds one at a time.
+    @lru_cache(maxsize=1)
+    def standard_forms(alphabet):
         std = standard_measure(alphabet)
-        nice = [
-            m
-            for m in group
-            if (lambda c: c.gapfree and c.injective and c.alphabetically_ordered)(classify(m))
-        ]
-        std_forms = None
-        for measure in nice:
-            cases += 1
-            report = bounded_equivalence(measure, std, max_len)
-            if not report.equivalent:
-                violations.append(
-                    f"{measure_line(measure)} | not equivalent to the standard measure: "
-                    f"{report.describe()}"
-                )
-                continue
-            if std_forms is None:
-                std_forms = {
-                    w.indices: prefix_normal_form(std, w) for w in _all_words(alphabet, 5)
-                }
-            for indices, reference in std_forms.items():
-                cases += 1
-                word = Word(alphabet, indices)
-                mine = prefix_normal_form(measure, word)
-                same = (
-                    isinstance(mine, UniqueNormalForm)
-                    and isinstance(reference, UniqueNormalForm)
-                    and mine.word == reference.word
-                )
-                if not same:
-                    violations.append(
-                        f"{measure_line(measure)} | word {word} | normal form differs "
-                        f"from the standard measure's"
-                    )
-                    break
+        scan = _scan(std, range(6))
+        return [(indices, prefix_normal_form(std, Word(alphabet, indices))) for indices, _ in scan]
+
+    def check(measure):
+        flags = classify(measure)
+        if not (flags.gapfree and flags.injective and flags.alphabetically_ordered):
+            return 0, []
+        report = bounded_equivalence(measure, standard_measure(measure.alphabet), max_len)
+        if not report.equivalent:
+            return 1, [f"not equivalent to the standard measure: {report.describe()}"]
+        forms = standard_forms(measure.alphabet)
+        for done, (indices, reference) in enumerate(forms, 2):
+            word = Word(measure.alphabet, indices)
+            mine = prefix_normal_form(measure, word)
+            same = (
+                isinstance(mine, UniqueNormalForm)
+                and isinstance(reference, UniqueNormalForm)
+                and mine.word == reference.word
+            )
+            if not same:
+                return done, [f"word {word} | normal form differs from the standard measure's"]
+        return 1 + len(forms), []
+
+    done, found = _sweep(sorted(corpus_measures(seed), key=lambda m: m.alphabet.letters), check)
+    cases += done
+    violations.extend(found)
 
     # Sampled equivalent pairs keep their classification flags in sync.
+    rng = random.Random(seed)
     eligible = [letters for letters in sorted(groups) if len(groups[letters]) >= 2]
     for _ in range(60):
         if not eligible:

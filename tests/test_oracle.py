@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import ABC, ANB, ANCB, ANX, product_measure, sum_measure, vec_measure, w, words
+from helpers import (
+    ABC, ANB, ANCB, ANX, VEC_FIXTURE, product_measure, sum_measure, vec_measure, w, words,
+)
 from prefixnorm import (
     Alphabet,
     CapacityExceeded,
+    Gap,
     MonoidKind,
     WeightMeasure,
     Word,
@@ -95,7 +98,7 @@ def test_brute_set_agrees_with_fast_path_on_random_words():
         (sum_measure(ABC, 1, 2, 2), 5),
         (product_measure(ABC, 2, 3, 5), 5),
         (product_measure(ABC, 2, 6, 18), 5),
-        (vec_measure(ABC, (0, 2), (1, 1), (2, 0)), 5),
+        (VEC_FIXTURE, 5),
         (vec_measure(ABC, (0, 1), (0, 1), (1, 0)), 5),
         (sum_measure(ANCB, 1, 3, 3, 4), 4),
     ],
@@ -207,11 +210,16 @@ def test_count_binary_prefix_normal_bound():
         (lambda: run_suite("gap-decision", max_len=9), 4**9),
         (lambda: run_suite("vector-gapfree", max_len=11), 3**11),
         (lambda: run_suite("trichotomy", max_len=9), 4**9),
+        # Every 4-letter alphabet accepts length 7, but not the whole corpus's words.
+        (lambda: run_suite("trichotomy", max_len=7), 1_347_272),
+        (lambda: run_suite("gap-decision", max_len=7), 1_347_272),
         (lambda: brute_gap_search(standard_measure(ABC), 10**9), None),
+        # Refused by the call itself: the returned scan is never iterated.
+        (lambda: oracle._scan(standard_measure(Alphabet(tuple("abcd"))), range(1, 10)), 4**9),
         (lambda: brute_prefix_normal_set(standard_measure(ABC), Word(ABC, (0,) * 11)), 3**11),
     ],
-    ids=["binary-reduction", "gap-decision", "vector-gapfree", "trichotomy", "gap-search",
-         "prefix-normal-set"],
+    ids=["binary-reduction", "gap-decision", "vector-gapfree", "trichotomy", "trichotomy-corpus",
+         "gap-decision-corpus", "gap-search", "scan-uniterated", "prefix-normal-set"],
 )
 def test_oversized_word_scans_are_refused_up_front(scan, count):
     # The sweeps refuse for their largest corpus alphabet before the first measure.
@@ -378,4 +386,36 @@ def test_reports_are_replayable_on_forced_failure(monkeypatch):
         "conditions disagree: (True, False, True, True)",
         "measure[nat-product; letters a b; weights 8 3] | word abbbb | "
         "conditions disagree: (True, False, True, True)",
+    )
+
+
+def test_gap_decision_reports_are_replayable_on_forced_failure(monkeypatch):
+    # A one-letter witness for every measure: gapfree measures disagree with
+    # the brute force, gapful ones get a badly shaped witness.
+    monkeypatch.setattr(oracle, "find_gap", lambda measure: Gap(Word(measure.alphabet, (0,)), 1))
+    report = run_suite("gap-decision", seed=5, max_len=4)
+    assert (report.cases, len(report.violations)) == (220, 220)
+    assert report.violations[5:8] == (
+        "measure[nat-sum; letters a n b x; weights 1 2 3 4] | "
+        "decision says gapful, brute force says gapfree",
+        "measure[nat-sum; letters a n x; weights 1 2 4] | "
+        "witness a is not high-low-high-mid shaped",
+        "measure[nat-sum; letters a b c; weights 1 2 4] | "
+        "witness a is not high-low-high-mid shaped",
+    )
+
+
+def test_trichotomy_reports_are_replayable_on_forced_failure(monkeypatch):
+    # A predicted count of 1 for every class fails each class of another size;
+    # the lines pin the scan order, length 1 before length 2.
+    monkeypatch.setattr(oracle, "count_prefix_normal", lambda measure, word: 1)
+    report = run_suite("trichotomy", seed=5, max_len=2)
+    assert (report.cases, len(report.violations)) == (2752, 165)
+    assert report.violations[:3] == (
+        "measure[nat-sum; letters a n c b; weights 1 2 2 3] | word n | "
+        "predicted count 1, brute force found 2",
+        "measure[nat-sum; letters a n c b; weights 1 2 2 3] | word an | "
+        "predicted count 1, brute force found 2",
+        "measure[nat-sum; letters a n c b; weights 1 2 2 3] | word nn | "
+        "predicted count 1, brute force found 4",
     )
