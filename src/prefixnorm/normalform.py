@@ -10,7 +10,7 @@ from operator import add, eq, ge, gt, or_
 from .errors import DEFAULT_LIMIT, CapacityExceeded, refuse_power
 from .measure import Word, WeightMeasure
 from .monoid import MonoidKind, fold_pairs
-from .profile import factor_max_payloads
+from .profile import factor_max_payloads, factor_max_steps
 
 
 @dataclass(frozen=True)
@@ -47,24 +47,27 @@ def prefix_normal_form(measure: WeightMeasure, word: Word) -> NormalFormResult:
 
     Each step's residual is the one weight that can realise it; a step whose
     residual is no class weight means the class of the word holds no
-    prefix-normal member at all; otherwise injective measures give one word
-    and non-injective measures a projected word with a count.
+    prefix-normal member at all, so the walk stops there without computing
+    the longer lengths; otherwise injective measures give one word and
+    non-injective measures a projected word with a count.
     """
     measure.check_word(word)
     if not word.indices:
         return UniqueNormalForm(word)
     projected = measure.projected
-    f, _ = factor_max_payloads(
-        measure.payloads, word.indices, measure.identity_payload, measure.combine
-    )
     class_of_weight = {weight: c for c, weight in enumerate(projected.measure.payloads)}
     residual = measure.residual
+    previous = measure.identity_payload
     picks = []
-    for i in range(1, len(f)):
-        pick = class_of_weight.get(residual(f[i - 1], f[i]))
+    steps = factor_max_steps(
+        measure.payloads, word.indices, measure.identity_payload, measure.combine
+    )
+    for i, (weight, _) in enumerate(steps, 1):
+        pick = class_of_weight.get(residual(previous, weight))
         if pick is None:
             return NoNormalForm(gap_word=word, gap_index=i)
         picks.append(pick)
+        previous = weight
     if all(len(group) == 1 for group in projected.classes):
         letters = tuple(projected.classes[c][0] for c in picks)
         return UniqueNormalForm(Word(measure.alphabet, letters))

@@ -48,7 +48,13 @@ from .normalform import (
     count_prefix_normal_words,
     prefix_normal_form,
 )
-from .profile import factor_max_payloads, gap_indexes, normality_conditions, prefix_payloads
+from .profile import (
+    factor_max_payloads,
+    gap_indexes,
+    is_prefix_normal,
+    normality_conditions,
+    prefix_payloads,
+)
 
 DEFAULT_SEED = 271828
 
@@ -102,7 +108,7 @@ class SweepReport:
 
 
 def _running_factor_max(letter_weights, indices, ident, comb):
-    """Per-length factor maxima and leftmost starts, by a running combine from every start.
+    """Per-length factor maxima, by a running combine from every start.
 
     The definitional kernel of the brute oracles, kept apart from the fast
     ``profile.factor_max_payloads`` so that the two check each other.
@@ -110,7 +116,6 @@ def _running_factor_max(letter_weights, indices, ident, comb):
     n = len(indices)
     best = [None] * (n + 1)
     best[0] = ident
-    starts = [0] * (n + 1)
     for start in range(n):
         acc = ident
         for end in range(start + 1, n + 1):
@@ -119,8 +124,7 @@ def _running_factor_max(letter_weights, indices, ident, comb):
             cur = best[size]
             if cur is None or cur < acc:
                 best[size] = acc
-                starts[size] = start
-    return best, starts
+    return best
 
 
 def _scan(measure: WeightMeasure, lengths: range):
@@ -133,7 +137,7 @@ def _scan(measure: WeightMeasure, lengths: range):
         refuse_power(size, lengths[-1], "words")
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     return (
-        (indices, _running_factor_max(ws, indices, ident, comb)[0])
+        (indices, _running_factor_max(ws, indices, ident, comb))
         for length in lengths
         for indices in itertools.product(range(size), repeat=length)
     )
@@ -153,7 +157,7 @@ def brute_equivalence_class(measure: WeightMeasure, word: Word) -> set[Word]:
     """Every same-length word whose factor-weight profile equals the word's, by full scan."""
     measure.check_word(word)
     scan = _scan(measure, range(len(word), len(word) + 1))
-    target, _ = _running_factor_max(
+    target = _running_factor_max(
         measure.payloads, word.indices, measure.identity_payload, measure.combine
     )
     return {Word(measure.alphabet, indices) for indices, f in scan if f == target}
@@ -163,7 +167,7 @@ def brute_prefix_normal_set(measure: WeightMeasure, word: Word) -> set[Word]:
     """Filter the full factor-weight class of the word by the PN predicate."""
     members = brute_equivalence_class(measure, word)
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-    target, _ = _running_factor_max(ws, word.indices, ident, comb)
+    target = _running_factor_max(ws, word.indices, ident, comb)
     return {m for m in members if prefix_payloads(ws, m.indices, ident, comb) == target}
 
 
@@ -440,10 +444,18 @@ def _position_bound_all_pairs(measure: WeightMeasure, idx: tuple[int, ...]) -> b
 
 
 def _check_pn_equivalences(measure: WeightMeasure, idx: tuple[int, ...]) -> str | None:
-    """The four prefix-normality conditions agree, and condition 4 with its definition."""
-    verdicts = normality_conditions(measure, Word(measure.alphabet, idx))
+    """Every prefix-normality verdict on the word agrees.
+
+    The four conditions agree with each other, ``is_prefix_normal`` (the
+    route that stops early) with condition 1, and condition 4 with its
+    all-pairs definition.
+    """
+    word = Word(measure.alphabet, idx)
+    verdicts = normality_conditions(measure, word)
     if len(set(verdicts)) != 1:
         return f"conditions disagree: {verdicts}"
+    if is_prefix_normal(measure, word) != verdicts[0]:
+        return f"is_prefix_normal says {not verdicts[0]}, condition 1 says {verdicts[0]}"
     if verdicts[3] != _position_bound_all_pairs(measure, idx):
         return f"position bound {verdicts[3]}, but all pairs give {not verdicts[3]}"
     return None

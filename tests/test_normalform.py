@@ -1,9 +1,22 @@
 import itertools
 import random
+from math import prod
 
 import pytest
 
-from helpers import ABC, ANB, ANBX, ANCB, ANX, product_measure, sum_measure, w, words
+from helpers import (
+    ABC,
+    ANB,
+    ANBX,
+    ANCB,
+    ANX,
+    VEC_FIXTURE,
+    product_measure,
+    sum_measure,
+    vec_measure,
+    w,
+    words,
+)
 from prefixnorm import (
     Alphabet,
     CapacityExceeded,
@@ -22,6 +35,7 @@ from prefixnorm import (
     standard_measure,
     weight_profile,
 )
+from prefixnorm.profile import factor_max_payloads, gap_indexes, prefix_payloads
 
 MU_ANB = sum_measure(ANB, 1, 2, 3)
 NU_ANX = sum_measure(ANX, 1, 2, 4)
@@ -216,3 +230,61 @@ def test_equivalent_measures_share_the_normal_form():
         result = prefix_normal_form(measure, word)
         assert isinstance(result, UniqueNormalForm)
         assert str(result.word) == "cbbb"
+
+
+# --- the routes that stop early against the full profile ---------------------
+
+ABCD = Alphabet(("a", "b", "c", "d"))
+_LONG_MEASURES = (
+    MU_ANB,  # gapfree, injective: unique forms
+    MU_ANCB,  # gapfree, not injective: multiple forms
+    NU_ANX,  # gapful nat-sum
+    product_measure(ABCD, 2, 3, 5, 7),  # gapful prime product
+    product_measure(ABC, 2, 4, 8),  # stepped product: unique forms
+    VEC_FIXTURE,  # gapfree, unstepped
+    vec_measure(ABCD, (0, 3), (1, 1), (1, 2), (2, 0)),  # gapful vec2-lex
+)
+
+
+def _long_words(measure, rng):
+    """Random words of 200-240 letters, their descending sorts and any normal form."""
+    weights = measure.payloads
+    for n in (200, 240):
+        word = Word(measure.alphabet, tuple(rng.randrange(len(weights)) for _ in range(n)))
+        yield word
+        descending = sorted(word.indices, key=weights.__getitem__, reverse=True)
+        yield Word(word.alphabet, tuple(descending))
+        result = prefix_normal_form(measure, word)
+        if isinstance(result, UniqueNormalForm):
+            yield result.word
+
+
+def test_early_exit_routes_match_the_full_profile_on_long_words():
+    rng = random.Random(11)
+    verdicts, outcomes = set(), set()
+    for measure in _LONG_MEASURES:
+        ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+        for word in _long_words(measure, rng):
+            f, _ = factor_max_payloads(ws, word.indices, ident, comb)
+            verdict = is_prefix_normal(measure, word)
+            assert verdict == (prefix_payloads(ws, word.indices, ident, comb) == f)
+            verdicts.add(verdict)
+            result = prefix_normal_form(measure, word)
+            outcomes.add(type(result))
+            gaps = gap_indexes(measure, word)
+            if isinstance(result, NoNormalForm):
+                assert result.gap_word == word and result.gap_index == gaps[0]
+                continue
+            assert gaps == []
+            # By definition: the form is prefix normal and in the word's class,
+            # so its prefix weights and its factor maxima both equal f.
+            projected = measure.projected
+            if isinstance(result, UniqueNormalForm):
+                normal, under = result.word, measure
+            else:
+                normal, under = result.projected, projected.measure
+                assert result.count == prod(len(projected.classes[c]) for c in normal.indices)
+            args = (under.payloads, normal.indices, under.identity_payload, comb)
+            assert prefix_payloads(*args) == factor_max_payloads(*args)[0] == f
+    assert verdicts == {True, False}
+    assert outcomes == {NoNormalForm, UniqueNormalForm, MultipleNormalForms}

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from bisect import bisect_left, bisect_right
@@ -20,7 +21,7 @@ from prefixnorm import (
 )
 from prefixnorm.monoid import MonoidKind, payload_combine, payload_identity
 from prefixnorm.oracle import _running_factor_max, classic_max_ones, is_prefix_normal_classic
-from prefixnorm.profile import factor_max_payloads
+from prefixnorm.profile import factor_max_payloads, factor_max_steps
 
 MU = sum_measure(ANB, 1, 2, 3)
 
@@ -262,14 +263,31 @@ def _kernel_case(kind):
 
 
 def _both_kernels(kind, weights, indices):
-    args = (weights, indices, payload_identity(kind), payload_combine(kind))
-    return factor_max_payloads(*args), _running_factor_max(*args)
+    """The fast kernel's profile, its maxima checked against the oracle loop.
+
+    Each start is checked by definition: its window weighs the maximum and
+    every window starting earlier weighs less.
+    """
+    ident, comb = payload_identity(kind), payload_combine(kind)
+    best, starts = factor_max_payloads(weights, indices, ident, comb)
+    assert best == _running_factor_max(weights, indices, ident, comb)
+
+    def window(start, size):
+        return functools.reduce(comb, (weights[i] for i in indices[start:start + size]), ident)
+
+    assert starts[0] == 0
+    for size in range(1, len(indices) + 1):
+        assert window(starts[size], size) == best[size]
+        assert all(window(start, size) < best[size] for start in range(starts[size]))
+    return best, starts
 
 
 @given(st.sampled_from(list(MonoidKind)).flatmap(_kernel_case))
 def test_kernel_matches_running_combine_loop(case):
-    fast, reference = _both_kernels(*case)
-    assert fast == reference
+    kind, weights, indices = case
+    best, starts = _both_kernels(*case)
+    steps = list(factor_max_steps(weights, indices, payload_identity(kind), payload_combine(kind)))
+    assert steps == list(zip(best[1:], starts[1:]))
 
 
 def test_kernel_vec2_fold_outweighed_by_second_components():
@@ -277,9 +295,8 @@ def test_kernel_vec2_fold_outweighed_by_second_components():
     # window's second-component total misorders or misdecodes such windows.
     weights = ((0, 1000), (1, 0), (0, 1))
     for indices in itertools.product(range(3), repeat=7):
-        fast, reference = _both_kernels(MonoidKind.VEC2_LEX, weights, indices)
-        assert fast == reference
-    (best, starts), _ = _both_kernels(MonoidKind.VEC2_LEX, weights, (1, 2) + (0,) * 18)
+        _both_kernels(MonoidKind.VEC2_LEX, weights, indices)
+    best, starts = _both_kernels(MonoidKind.VEC2_LEX, weights, (1, 2) + (0,) * 18)
     assert best[:5] == [(0, 0), (1, 0), (1, 1), (1, 1001), (1, 2001)]
     assert best[20] == (1, 18001)
     assert starts == [0] * 21
@@ -288,8 +305,7 @@ def test_kernel_vec2_fold_outweighed_by_second_components():
 def test_kernel_pins_a_long_vec2_word():
     weights = ((0, 3), (1, 1), (1, 2), (2, 0), (0, 1000))
     indices = tuple(random.Random(300).randrange(len(weights)) for _ in range(300))
-    (best, starts), reference = _both_kernels(MonoidKind.VEC2_LEX, weights, indices)
-    assert (best, starts) == reference
+    best, starts = _both_kernels(MonoidKind.VEC2_LEX, weights, indices)
     total = (sum(weights[i][0] for i in indices), sum(weights[i][1] for i in indices))
     assert best[300] == total and starts[300] == 0
     assert len(best) == len(starts) == 301
