@@ -302,18 +302,40 @@ def stepped_step(measure: WeightMeasure) -> MonoidValue | None:
     return MonoidValue(measure.kind, steps.pop())
 
 
+# Miller–Rabin with these bases decides primality exactly below the bound
+# (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Miller–Rabin over the primes 2…41, exact below ``_PRIME_EXACT_BELOW``.
+
+    A witness proves ``n`` composite at any size; an ``n`` at or above the
+    bound without one raises ``CapacityExceeded`` rather than guess.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    shift = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = odd * 2**shift
+    odd = (n - 1) >> shift
+    for a in _PRIME_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(shift - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= _PRIME_EXACT_BELOW:
+        raise CapacityExceeded(
+            f"refusing: {n} has no Miller–Rabin witness among the primes up to 41, "
+            f"which decide primality only below {_PRIME_EXACT_BELOW}"
+        )
     return True
 
 

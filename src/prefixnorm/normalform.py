@@ -59,9 +59,7 @@ def prefix_normal_form(measure: WeightMeasure, word: Word) -> NormalFormResult:
     residual = measure.residual
     previous = measure.identity_payload
     picks = []
-    steps = factor_max_steps(
-        measure.payloads, word.indices, measure.identity_payload, measure.combine
-    )
+    steps = factor_max_steps(measure.payloads, word.indices, measure.combine)
     for i, (weight, _) in enumerate(steps, 1):
         pick = class_of_weight.get(residual(previous, weight))
         if pick is None:
@@ -224,14 +222,21 @@ def equivalence_class(measure: WeightMeasure, word: Word, limit: int = DEFAULT_L
     surviving projected word is expanded into its letter classes.
     Exponential by design: the walk refuses more than ``limit`` candidate
     words |Σ′|^length, pruned or not, and the expansion refuses more than
-    ``limit`` members before it builds any word.  The result always
-    contains the word and its reverse.
+    ``limit`` members before it builds any word.  Every word with the
+    word's projection is a member, so a word that alone expands past
+    ``limit`` is refused before the walk.  The result always contains the
+    word and its reverse.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
     measure.check_word(word)
     projected, length = measure.projected, len(word.indices)
     refuse_power(len(projected.classes), length, "candidate words", limit)
+    least = _expansion(measure, [projected.project_word(word).indices])
+    if least > limit:
+        raise CapacityExceeded(
+            f"at least {least} class members exceed the limit of {limit}", count=least
+        )
     target, _ = factor_max_payloads(
         measure.payloads, word.indices, measure.identity_payload, measure.combine
     )

@@ -9,11 +9,12 @@ length refuses up front, with ``CapacityExceeded``, when that count
 exceeds ``DEFAULT_LIMIT``: ``_scan`` when called, and the binary count and
 the binary-reduction sweep, whose own scans check the fast kernel.
 
-Every other sweep is a deterministic stream of measures and a check
-``check(measure) -> (cases, problems)``, both run by the one driver
-``_sweep``.  It counts the cases and writes one replayable line per
-problem, ``measure[…] | [word … |] problem``; ``equivalence`` adds
-``measure[…] vs measure[…] | problem`` lines for its measure pairs.
+Every sweep is a deterministic stream of cases, each a tuple of
+measures, and a check ``check(*case) -> (cases, problems)``, both run by
+the one driver ``_sweep``.  It counts the cases and writes one replayable
+line per problem, the case's measures joined by ``vs`` and then the
+problem: ``measure[…] | [word … |] problem`` for one measure,
+``measure[…] vs measure[…] | problem`` for a pair.
 """
 
 from __future__ import annotations
@@ -323,19 +324,21 @@ def corpus_measures(seed: int = DEFAULT_SEED) -> tuple[WeightMeasure, ...]:
 # Suites
 
 
-def _sweep(measures, check, cases: int | None = None) -> tuple[int, list[str]]:
-    """Sum ``check(measure) -> (cases, problems)`` over the measures; one line per problem.
+def _sweep(cases, check, stop: int | None = None) -> tuple[int, list[str]]:
+    """Sum ``check(*case) -> (cases, problems)`` over cases of measures; one line per problem.
 
-    Given ``cases``, stop after the measure that brings the count to it.
+    A line names the case's measures, joined by ``vs``, then the problem.
+    Given ``stop``, stop after the case that brings the count to it.
     """
     count = 0
     violations: list[str] = []
-    for measure in measures:
-        done, problems = check(measure)
+    for case in cases:
+        done, problems = check(*case)
         count += done
-        for problem in problems:
-            violations.append(f"{measure_line(measure)} | {problem}")
-        if cases is not None and count >= cases:
+        if problems:
+            head = " vs ".join(map(measure_line, case))
+            violations.extend(f"{head} | {problem}" for problem in problems)
+        if stop is not None and count >= stop:
             break
     return count, violations
 
@@ -357,7 +360,7 @@ def _word_sweep(check, default_max_len: int = 6):
             problem = check(measure, idx)
             return 1, (f"word {Word(measure.alphabet, idx)} | {problem}",) if problem else ()
 
-        return _sweep((rng.choice(pool) for _ in range(cases)), check_word)
+        return _sweep(zip(rng.choice(pool) for _ in range(cases)), check_word)
 
     return run
 
@@ -528,19 +531,40 @@ def _suite_exchange(seed: int, cases: int = 10_000):
     measures = (
         fixtures.pop() if fixtures else _random_stepped_measure(rng) for _ in itertools.count()
     )
-    return _sweep(measures, _check_exchange, cases)
+    return _sweep(zip(measures), _check_exchange, cases)
+
+
+def _check_gap_decision(
+    measure: WeightMeasure, max_len: int, fast: Gap | None
+) -> tuple[int, list[str]]:
+    """``find_gap``'s decision ``fast`` against brute force up to ``max_len``, and its witness."""
+    brute = brute_gap_search(measure, max_len)
+    if (fast is None) != (brute is None):
+        return 1, [
+            f"decision says {'gapfree' if fast is None else 'gapful'}, "
+            f"brute force says {'gapfree' if brute is None else 'gapful'}"
+        ]
+    if fast is None:
+        return 1, []
+    witness = fast.word
+    ws = [measure.payloads[i] for i in witness.indices]
+    shape_ok = (
+        len(witness) == 4
+        and fast.index == 3
+        and ws[0] == ws[2]
+        and ws[1] < ws[3] < ws[0]
+    )
+    if not shape_ok:
+        return 1, [f"witness {witness} is not high-low-high-mid shaped"]
+    if fast.index not in gap_indexes(measure, witness):
+        return 1, [f"witness {witness} fails the definitional gap check"]
+    return 1, []
 
 
 def _check_prime_gapful(measure: WeightMeasure) -> tuple[int, list[str]]:
     gap = find_gap(measure)
-    if gap is None:
-        return 1, ["classified gapfree"]
-    problems = []
-    if len(gap.word) != 4 or gap.index not in gap_indexes(measure, gap.word):
-        problems.append(f"witness {gap.word} not a real gap")
-    if brute_gap_search(measure, 4) is None:
-        problems.append("brute force found no gap by length 4")
-    return 1, problems
+    done, problems = _check_gap_decision(measure, 4, gap)
+    return done, problems if gap else [*problems, "classified gapfree"]
 
 
 def _suite_prime_gapful(seed: int):
@@ -550,24 +574,22 @@ def _suite_prime_gapful(seed: int):
         WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, triple)
         for triple in itertools.combinations(primes, 3)
     )
-    return _sweep(measures, _check_prime_gapful)
+    return _sweep(zip(measures), _check_prime_gapful)
 
 
 def _suite_vector_gapfree(seed: int, max_len: int = 6):
     """The vector measure (0,2),(1,1),(2,0) is gapfree yet has no step."""
 
     def check(measure):
-        problems = []
+        gap = find_gap(measure)
+        _, problems = _check_gap_decision(measure, max_len, gap)
+        if gap is not None:
+            problems.append("decision procedure reported a gap")
         if stepped_step(measure) is not None:
             problems.append("unexpected step found")
-        if find_gap(measure) is not None:
-            problems.append("decision procedure reported a gap")
-        brute = brute_gap_search(measure, max_len)
-        if brute is not None:
-            problems.append(f"brute force found a gap at {brute.word}")
         return sum(3 ** n for n in range(1, max_len + 1)) + 2, problems
 
-    return _sweep([_VECTOR], check)
+    return _sweep([(_VECTOR,)], check)
 
 
 def _check_stepped_gapfree(measure: WeightMeasure) -> tuple[int, list[str]]:
@@ -598,7 +620,7 @@ def _suite_stepped_gapfree(seed: int, cases: int = 3_000):
         _random_stepped_measure(rng) if rng.random() < 0.4 else _random_measure(rng)
         for _ in range(cases)
     )
-    return _sweep(measures, _check_stepped_gapfree)
+    return _sweep(zip(measures), _check_stepped_gapfree)
 
 
 def _corpus(seed: int, max_len: int) -> tuple[WeightMeasure, ...]:
@@ -614,37 +636,14 @@ def _corpus(seed: int, max_len: int) -> tuple[WeightMeasure, ...]:
 
 def _suite_trichotomy(seed: int, max_len: int = 5):
     """Class-count predictions versus brute force over the whole corpus."""
-    return _sweep(_corpus(seed, max_len), lambda measure: _check_trichotomy(measure, max_len))
-
-
-def _check_gap_decision(measure: WeightMeasure, max_len: int) -> tuple[int, list[str]]:
-    fast = find_gap(measure)
-    brute = brute_gap_search(measure, max_len)
-    if (fast is None) != (brute is None):
-        return 1, [
-            f"decision says {'gapfree' if fast is None else 'gapful'}, "
-            f"brute force says {'gapfree' if brute is None else 'gapful'}"
-        ]
-    if fast is None:
-        return 1, []
-    witness = fast.word
-    ws = [measure.payloads[i] for i in witness.indices]
-    shape_ok = (
-        len(witness) == 4
-        and fast.index == 3
-        and ws[0] == ws[2]
-        and ws[1] < ws[3] < ws[0]
-    )
-    if not shape_ok:
-        return 1, [f"witness {witness} is not high-low-high-mid shaped"]
-    if fast.index not in gap_indexes(measure, witness):
-        return 1, [f"witness {witness} fails the definitional gap check"]
-    return 1, []
+    return _sweep(zip(_corpus(seed, max_len)), lambda measure: _check_trichotomy(measure, max_len))
 
 
 def _suite_gap_decision(seed: int, max_len: int = 6):
     """Fast gapfreeness decision versus exhaustive search, witness shape included."""
-    return _sweep(_corpus(seed, max_len), lambda measure: _check_gap_decision(measure, max_len))
+    return _sweep(
+        zip(_corpus(seed, max_len)), lambda m: _check_gap_decision(m, max_len, find_gap(m))
+    )
 
 
 def _suite_equivalence(seed: int, max_len: int = 6):
@@ -659,19 +658,14 @@ def _suite_equivalence(seed: int, max_len: int = 6):
     from one alphabet must also agree on the injective / ordered / gapfree
     flags, compared up to length 4.
     """
-    violations: list[str] = []
-    cases = 1
-    fixture_sum = WeightMeasure(_ABC, MonoidKind.NAT_SUM, (2, 4, 6))
-    fixture_product = WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, (2, 6, 18))
-    if not bounded_equivalence(fixture_sum, fixture_product, max_len).equivalent:
-        violations.append(
-            f"{measure_line(fixture_sum)} vs {measure_line(fixture_product)} | "
-            f"expected equivalence up to length {max_len}"
-        )
+    fixture = (
+        WeightMeasure(_ABC, MonoidKind.NAT_SUM, (2, 4, 6)),
+        WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, (2, 6, 18)),
+    )
 
-    groups: dict[tuple[str, ...], list[WeightMeasure]] = {}
-    for measure in corpus_measures(seed):
-        groups.setdefault(measure.alphabet.letters, []).append(measure)
+    def check_fixture(first, second):
+        equivalent = bounded_equivalence(first, second, max_len).equivalent
+        return 1, [] if equivalent else [f"expected equivalence up to length {max_len}"]
 
     # Every word of at most 5 letters with its standard normal form.  The
     # measures come sorted by alphabet, so the cache holds one at a time.
@@ -681,7 +675,7 @@ def _suite_equivalence(seed: int, max_len: int = 6):
         scan = _scan(std, range(6))
         return [(indices, prefix_normal_form(std, Word(alphabet, indices))) for indices, _ in scan]
 
-    def check(measure):
+    def check_standard(measure):
         flags = classify(measure)
         if not (flags.gapfree and flags.injective and flags.alphabetically_ordered):
             return 0, []
@@ -701,46 +695,42 @@ def _suite_equivalence(seed: int, max_len: int = 6):
                 return done, [f"word {word} | normal form differs from the standard measure's"]
         return 1 + len(forms), []
 
-    done, found = _sweep(sorted(corpus_measures(seed), key=lambda m: m.alphabet.letters), check)
-    cases += done
-    violations.extend(found)
-
     # Sampled equivalent pairs keep their classification flags in sync.
+    def check_pair(first, second):
+        if not bounded_equivalence(first, second, 4).equivalent:
+            return 1, []
+        a, b = classify(first), classify(second)
+        agree = (
+            a.injective == b.injective
+            and a.alphabetically_ordered == b.alphabetically_ordered
+            and a.gapfree == b.gapfree
+        )
+        return 1, [] if agree else ["equivalent pair with diverging classifications"]
+
+    corpus = sorted(corpus_measures(seed), key=lambda m: m.alphabet.letters)
+    groups = (list(same) for _, same in itertools.groupby(corpus, lambda m: m.alphabet.letters))
+    eligible = [group for group in groups if len(group) >= 2]
     rng = random.Random(seed)
-    eligible = [letters for letters in sorted(groups) if len(groups[letters]) >= 2]
-    for _ in range(60):
-        if not eligible:
-            break
-        letters = rng.choice(eligible)
-        first, second = rng.sample(groups[letters], 2)
-        cases += 1
-        if bounded_equivalence(first, second, 4).equivalent:
-            a, b = classify(first), classify(second)
-            agree = (
-                a.injective == b.injective
-                and a.alphabetically_ordered == b.alphabetically_ordered
-                and a.gapfree == b.gapfree
-            )
-            if not agree:
-                violations.append(
-                    f"{measure_line(first)} vs {measure_line(second)} | equivalent pair "
-                    f"with diverging classifications"
-                )
-    return cases, violations
+    pairs = (rng.sample(rng.choice(eligible), 2) for _ in range(60 if eligible else 0))
+    sweeps = (
+        _sweep([fixture], check_fixture),
+        _sweep(zip(corpus), check_standard),
+        _sweep(pairs, check_pair),
+    )
+    return sum(done for done, _ in sweeps), [line for _, lines in sweeps for line in lines]
 
 
-def _suite_binary_reduction(seed: int, max_len: int = 12):
-    """Weighted (1,2) prefix normality equals the classic max-ones predicate.
+def _check_binary_reduction(measure: WeightMeasure, max_len: int) -> tuple[int, list[str]]:
+    """Weighted prefix normality of the (1,2) measure over ``0 1`` against the classic predicate.
 
-    Sweeps every binary word up to the bound, checks the predicate pair, the
+    Scans every binary word up to ``max_len``: the predicate pair, the
     offset identity between the weighted factor maxima and the classic
     window maxima, and per-length count agreement with
-    count_binary_prefix_normal.
+    count_binary_prefix_normal.  A word's letter indices are its bits.
     """
     refuse_power(2, max_len, "words")
-    measure = subset_measure(_BINARY_ALPHABET, {"1"})
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-    violations: list[str] = []
+    problems: list[str] = []
     cases = 0
     for length in range(1, max_len + 1):
         classic_count = 0
@@ -750,23 +740,28 @@ def _suite_binary_reduction(seed: int, max_len: int = 12):
             f, _ = factor_max_payloads(ws, bits, ident, comb)
             weighted = prefix_payloads(ws, bits, ident, comb) == f
             classic = is_prefix_normal_classic(bits)
-            word = "".join(map(str, bits))
             if weighted != classic:
-                violations.append(
-                    f"word {word} | weighted={weighted} classic={classic}"
-                )
+                word = Word(measure.alphabet, bits)
+                problems.append(f"word {word} | weighted={weighted} classic={classic}")
             windows = classic_max_ones(bits)
             if any(f[i] - i != windows[i] for i in range(length + 1)):
-                violations.append(f"word {word} | weighted maxima minus length offset differ")
+                word = Word(measure.alphabet, bits)
+                problems.append(f"word {word} | weighted maxima minus length offset differ")
             classic_count += classic
             weighted_count += weighted
         counted = count_binary_prefix_normal(length)
         if not (counted == classic_count == weighted_count):
-            violations.append(
+            problems.append(
                 f"length {length} | counts disagree: op={counted} "
                 f"classic={classic_count} weighted={weighted_count}"
             )
-    return cases, violations
+    return cases, problems
+
+
+def _suite_binary_reduction(seed: int, max_len: int = 12):
+    """Weighted (1,2) prefix normality equals the classic max-ones predicate."""
+    measure = subset_measure(_BINARY_ALPHABET, {"1"})
+    return _sweep([(measure,)], lambda measure: _check_binary_reduction(measure, max_len))
 
 
 _SUITES = {

@@ -74,15 +74,15 @@ def factor_max_payloads(letter_weights: Sequence, indices: Sequence[int], ident,
     return best, starts
 
 
-def factor_max_steps(letter_weights: Sequence, indices: Sequence[int], ident, comb):
+def factor_max_steps(letter_weights: Sequence, indices: Sequence[int], comb):
     """Yield ``(maximum factor weight, leftmost start)`` for lengths 1..n in order.
 
     Length-major: ``row[s]`` is the weight of the window of the current
     length at offset ``s``; each length extends every window by one letter,
     so a caller that stops after length k has paid for k rows.  Callers
     keep no yielded weight past the next step (see the module docstring).
-    Takes the arguments of ``factor_max_payloads``; ``ident`` goes unused,
-    as the lengths start at 1.  vec2-lex pairs are folded as there.
+    Takes the arguments of ``factor_max_payloads`` except the identity,
+    which lengths from 1 never need.  vec2-lex pairs are folded as there.
     """
     letters = [letter_weights[i] for i in indices]
     scale = 0
@@ -199,9 +199,7 @@ def is_prefix_normal(measure: "WeightMeasure", word: "Word") -> bool:
     steps stop at the first length where a later factor outweighs the prefix.
     """
     measure.check_word(word)
-    steps = factor_max_steps(
-        measure.payloads, word.indices, measure.identity_payload, measure.combine
-    )
+    steps = factor_max_steps(measure.payloads, word.indices, measure.combine)
     return not any(start for _, start in steps)
 
 

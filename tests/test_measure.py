@@ -40,6 +40,7 @@ from prefixnorm import (
     stepped_step,
     subset_measure,
 )
+from prefixnorm.measure import _is_prime
 
 
 # --- alphabets and words ---------------------------------------------------
@@ -219,6 +220,31 @@ def test_classify_prime_and_binary_flags():
     assert flags.unary and flags.gapfree and flags.stepped.payload == 0
     flags = classify(sum_measure(ABC, 3, 1, 2))
     assert not flags.alphabetically_ordered
+
+
+def test_prime_flag_agrees_with_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(20_000))
+
+
+@pytest.mark.parametrize(
+    "weight, prime",
+    [
+        (3_215_031_751, False),  # a strong pseudoprime to bases 2, 3, 5 and 7
+        (100_000_000_000_000_000_039, True),
+        (2**89, False),
+    ],
+)
+def test_prime_flag_of_large_weights(weight, prime):
+    assert classify(product_measure(BITS, 3, weight)).prime is prime
+
+
+def test_prime_flag_refuses_beyond_the_exact_bound():
+    # 2^89 - 1 is prime, but no Miller-Rabin base up to 41 proves that there.
+    with pytest.raises(CapacityExceeded, match="Miller"):
+        classify(product_measure(BITS, 3, 2**89 - 1))
 
 
 # --- gapfreeness decision ----------------------------------------------------

@@ -35,6 +35,7 @@ from prefixnorm import (
     standard_measure,
     weight_profile,
 )
+from prefixnorm import normalform
 from prefixnorm.profile import factor_max_payloads, gap_indexes, prefix_payloads
 
 MU_ANB = sum_measure(ANB, 1, 2, 3)
@@ -146,6 +147,19 @@ def test_equivalence_class_refuses_a_large_expansion():
     with pytest.raises(CapacityExceeded) as info:
         equivalence_class(TRIPLE, Word(ABCD, (0,) * 9), limit=1000)
     assert info.value.count == 3**9
+
+
+def test_equivalence_class_refuses_a_large_projection_fiber_before_the_walk(monkeypatch):
+    # One projected letter: 1 candidate word, yet every one of the 2^1000
+    # words over a, b is a member.  The walk would take seconds to find that.
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(normalform, "walk_words", no_walk)
+    measure = sum_measure(Alphabet(("a", "b")), 1, 1)
+    with pytest.raises(CapacityExceeded, match="at least") as info:
+        equivalence_class(measure, Word(measure.alphabet, (0,) * 1000))
+    assert info.value.count == 2**1000
 
 
 @pytest.mark.parametrize(

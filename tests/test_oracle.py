@@ -4,6 +4,7 @@ import gc
 import itertools
 import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -418,4 +419,50 @@ def test_trichotomy_reports_are_replayable_on_forced_failure(monkeypatch):
         "predicted count 1, brute force found 2",
         "measure[nat-sum; letters a n c b; weights 1 2 2 3] | word nn | "
         "predicted count 1, brute force found 4",
+    )
+
+
+def test_equivalence_reports_are_replayable_on_forced_failure(monkeypatch):
+    # Inequivalent at the suite's length fails the fixture pair and every
+    # eligible corpus measure; equivalent at length 4 makes each sampled pair
+    # with diverging flags fail.  Pairs start with both measures.
+    def forced(first, second, max_len):
+        return SimpleNamespace(equivalent=max_len == 4, describe=lambda: "forced")
+
+    monkeypatch.setattr(oracle, "bounded_equivalence", forced)
+    report = run_suite("equivalence", seed=5)
+    assert (report.cases, len(report.violations)) == (105, 88)
+    assert sum(" vs " in line for line in report.violations) == 44
+    assert report.violations[:2] == (
+        "measure[nat-sum; letters a b c; weights 2 4 6] vs "
+        "measure[nat-product; letters a b c; weights 2 6 18] | "
+        "expected equivalence up to length 6",
+        "measure[nat-sum; letters 0 1; weights 1 2] | "
+        "not equivalent to the standard measure: forced",
+    )
+    assert report.violations[-1] == (
+        "measure[nat-sum; letters a b c; weights 4 1 7] vs "
+        "measure[nat-product; letters a b c; weights 2 6 18] | "
+        "equivalent pair with diverging classifications"
+    )
+
+
+def test_binary_reduction_reports_are_replayable_on_forced_failure(monkeypatch):
+    # A classic predicate that never holds fails every weighted prefix-normal
+    # word and every length's count; each line starts with the measure.
+    monkeypatch.setattr(oracle, "is_prefix_normal_classic", lambda bits: False)
+    report = run_suite("binary-reduction", max_len=2)
+    head = "measure[nat-sum; letters 0 1; weights 1 2] | "
+    assert report.cases == 6
+    assert report.violations == tuple(
+        head + line
+        for line in (
+            "word 0 | weighted=True classic=False",
+            "word 1 | weighted=True classic=False",
+            "length 1 | counts disagree: op=2 classic=0 weighted=2",
+            "word 00 | weighted=True classic=False",
+            "word 10 | weighted=True classic=False",
+            "word 11 | weighted=True classic=False",
+            "length 2 | counts disagree: op=3 classic=0 weighted=3",
+        )
     )

@@ -286,7 +286,7 @@ def _both_kernels(kind, weights, indices):
 def test_kernel_matches_running_combine_loop(case):
     kind, weights, indices = case
     best, starts = _both_kernels(*case)
-    steps = list(factor_max_steps(weights, indices, payload_identity(kind), payload_combine(kind)))
+    steps = list(factor_max_steps(weights, indices, payload_combine(kind)))
     assert steps == list(zip(best[1:], starts[1:]))
 
 
