@@ -23,6 +23,12 @@ class CapacityExceeded(RuntimeError):
         self.count = count
 
 
+def refuse(count: int, what: str, limit: int = DEFAULT_LIMIT) -> None:
+    """Raise ``CapacityExceeded`` when ``count`` items exceed ``limit``: the one count gate."""
+    if count > limit:
+        raise CapacityExceeded(f"refusing: {count} {what} exceed the limit of {limit}", count=count)
+
+
 def refuse_power(size: int, length: int, what: str, limit: int = DEFAULT_LIMIT) -> None:
     """Raise ``CapacityExceeded`` when ``size**length`` items exceed ``limit``.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import DEFAULT_LIMIT, CapacityExceeded, IncreasingPropertyViolation, MeasureSpecError
+from .errors import CapacityExceeded, IncreasingPropertyViolation, MeasureSpecError, refuse
 from .monoid import (
     MonoidKind,
     MonoidValue,
@@ -108,7 +108,8 @@ class Word:
             try:
                 return cls(alphabet, tuple(alphabet.index_of(ch) for ch in text))
             except ValueError:
-                pass  # fall through to the comma-separated form
+                if "," not in text:
+                    raise  # names the first unknown character
         if alphabet.self_delimiting:
             return cls.from_tokens(alphabet, text.replace("}", "} ").split())
         return cls.from_tokens(alphabet, text.split(alphabet.separator or ","))
@@ -425,13 +426,7 @@ def bounded_equivalence(first: WeightMeasure, second: WeightMeasure, max_len: in
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     size = len(first.alphabet)
-    total = math.comb(max_len + size, size) - 1
-    if total > DEFAULT_LIMIT:
-        raise CapacityExceeded(
-            f"{total} letter multisets of lengths 1 to {max_len} exceed the limit of "
-            f"{DEFAULT_LIMIT}",
-            count=total,
-        )
+    refuse(math.comb(max_len + size, size) - 1, f"letter multisets of lengths 1 to {max_len}")
     comb1, comb2 = first.combine, second.combine
     ws1, ws2 = first.payloads, second.payloads
     level = [((), first.identity_payload, second.identity_payload)]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import total_ordering
 from operator import add, mul
 
 
@@ -142,6 +143,7 @@ def parse_payload(kind: MonoidKind, text: str) -> Payload:
     return payload
 
 
+@total_ordering
 @dataclass(frozen=True)
 class MonoidValue:
     """A carrier element tagged with its monoid kind.
@@ -165,18 +167,6 @@ class MonoidValue:
     def __lt__(self, other):
         self._require_same_kind(other)
         return self.payload < other.payload
-
-    def __le__(self, other):
-        self._require_same_kind(other)
-        return self.payload <= other.payload
-
-    def __gt__(self, other):
-        self._require_same_kind(other)
-        return self.payload > other.payload
-
-    def __ge__(self, other):
-        self._require_same_kind(other)
-        return self.payload >= other.payload
 
     def __str__(self):
         return format_payload(self.kind, self.payload)

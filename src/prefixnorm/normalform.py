@@ -7,7 +7,7 @@ from itertools import product, repeat
 from math import prod
 from operator import add, eq, ge, gt, or_
 
-from .errors import DEFAULT_LIMIT, CapacityExceeded, refuse_power
+from .errors import DEFAULT_LIMIT, refuse, refuse_power
 from .measure import Word, WeightMeasure
 from .monoid import MonoidKind, fold_pairs
 from .profile import factor_max_payloads, factor_max_steps
@@ -31,8 +31,8 @@ class MultipleNormalForms:
     """Compressed form over the projected alphabet, plus the expansion count.
 
     Reading the projected word as independent per-position letter choices
-    yields every prefix-normal member of the class, so ``count`` is the
-    product of the class sizes along it.
+    yields every prefix-normal member of the class, so ``count`` is its
+    ``_expansion``.
     """
 
     projected: Word
@@ -71,7 +71,7 @@ def prefix_normal_form(measure: WeightMeasure, word: Word) -> NormalFormResult:
         return UniqueNormalForm(Word(measure.alphabet, letters))
     return MultipleNormalForms(
         projected=Word(projected.measure.alphabet, tuple(picks)),
-        count=prod(len(projected.classes[c]) for c in picks),
+        count=_expansion(measure, [picks]),
     )
 
 
@@ -85,12 +85,24 @@ def count_prefix_normal(measure: WeightMeasure, word: Word) -> int:
     return result.count
 
 
-def _members(measure: WeightMeasure, projected_words) -> set[Word]:
+def _expansion(measure: WeightMeasure, projected_words) -> int:
+    """How many source words project onto the projected index tuples.
+
+    Each tuple stands for the product of its class sizes; classes of one
+    letter add nothing.
+    """
+    shared = [(c, size) for c, size in enumerate(measure.projected.class_sizes()) if size > 1]
+    return sum(prod([size ** word.count(c) for c, size in shared]) for word in projected_words)
+
+
+def _members(measure: WeightMeasure, projected_words: list, limit: int, what: str) -> set[Word]:
     """Every source word whose projection is one of ``projected_words`` (index tuples).
 
-    The projection of an injective measure renames no letter, so its tuples
+    Refuses more than ``limit`` of them before it builds any word.  The
+    projection of an injective measure renames no letter, so its tuples
     are the words themselves.
     """
+    refuse(_expansion(measure, projected_words), what, limit)
     classes, alphabet = measure.projected.classes, measure.alphabet
     if len(classes) == len(alphabet):
         return {Word(alphabet, projected) for projected in projected_words}
@@ -99,18 +111,6 @@ def _members(measure: WeightMeasure, projected_words) -> set[Word]:
         for projected in projected_words
         for combo in product(*map(classes.__getitem__, projected))
     }
-
-
-def _expansion(measure: WeightMeasure, projected_words) -> int:
-    """How many source words project onto the projected index tuples.
-
-    Each tuple stands for the product of its class sizes; classes of one
-    letter add nothing, so an injective measure counts the tuples.
-    """
-    shared = [(c, size) for c, size in enumerate(measure.projected.class_sizes()) if size > 1]
-    if not shared:
-        return sum(1 for _ in projected_words)
-    return sum(prod([size ** word.count(c) for c, size in shared]) for word in projected_words)
 
 
 def prefix_normal_set(measure: WeightMeasure, word: Word, limit: int = DEFAULT_LIMIT) -> set[Word]:
@@ -122,25 +122,23 @@ def prefix_normal_set(measure: WeightMeasure, word: Word, limit: int = DEFAULT_L
         return set()
     if isinstance(result, UniqueNormalForm):
         return {result.word}
-    if result.count > limit:
-        raise CapacityExceeded(
-            f"{result.count} prefix-normal words exceed the limit of {limit}",
-            count=result.count,
-        )
-    return _members(measure, [result.projected.indices])
+    return _members(measure, [result.projected.indices], limit, "prefix-normal words")
 
 
-def walk_words(measure: WeightMeasure, length: int, target: list | None = None):
+def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, limit: int = DEFAULT_LIMIT):
     """Depth-first walk of the word trie, yielding index tuples in lexicographic order.
 
-    With ``target`` (a factor-max payload list of ``length + 1`` entries) it
-    yields the words whose factor maxima equal it; without, the prefix-normal
-    words.  A node carries its suffix weights by length, so a child costs
-    O(depth) combines.  Every suffix of a node is a factor of each word below
-    it, so a node is cut when a suffix outweighs the target (for prefix-normal
-    words: the node's own prefix) of the same length, or when its weight
-    cannot reach the target's total even when followed by the heaviest factor
-    of the remaining length.
+    The walk runs over the measure's projected alphabet Σ′, one letter per
+    distinct weight, and yields projected index tuples.  It refuses more
+    than ``limit`` candidate words |Σ′|^length, pruned or not, before any
+    kernel work.  With ``word`` (of ``length`` letters) it yields the words
+    whose factor maxima, the target, equal the word's; without, the
+    prefix-normal words.  A node carries its suffix weights by length, so a
+    child costs O(depth) combines.  Every suffix of a node is a factor of
+    each word below it, so a node is cut when a suffix outweighs the target
+    (for prefix-normal words: the node's own prefix) of the same length, or
+    when its weight cannot reach the target's total even when followed by
+    the heaviest factor of the remaining length.
 
     As no factor of a surviving target-mode node outweighs the target, the
     node keeps one flag per length instead of maxima: whether some factor
@@ -151,15 +149,20 @@ def walk_words(measure: WeightMeasure, length: int, target: list | None = None):
     remaining length, reaches an unattained length's target.  For the last
     letter this is the member test itself.
 
-    The enumerators walk a projected measure, one letter per distinct
-    weight.  Payloads are walked as ints: vec2-lex pairs go through
+    Payloads are walked as ints: vec2-lex pairs go through
     ``monoid.fold_pairs`` with a scale above the second component of every
     sum of at most ``length`` letters, and the target is folded alike.
 
     The walk keeps an explicit stack: a self-recursive closure would form a
     reference cycle holding every call's frame until a full collection.
     """
-    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    refuse_power(len(measure.projected.classes), length, "candidate words", limit)
+    target = None
+    if word is not None:
+        target, _ = factor_max_payloads(
+            measure.payloads, word.indices, measure.identity_payload, measure.combine
+        )
+    ws, ident, comb = measure.projected.measure.payloads, measure.identity_payload, measure.combine
     if measure.kind is MonoidKind.VEC2_LEX:
         scale = length * max(b for _, b in ws) + 1
         ws, ident, comb = fold_pairs(ws, scale), 0, add
@@ -220,31 +223,19 @@ def equivalence_class(measure: WeightMeasure, word: Word, limit: int = DEFAULT_L
     Profiles depend only on letter weights, so the walk runs over the
     projected alphabet Σ′ (one letter per distinct weight) and each
     surviving projected word is expanded into its letter classes.
-    Exponential by design: the walk refuses more than ``limit`` candidate
-    words |Σ′|^length, pruned or not, and the expansion refuses more than
-    ``limit`` members before it builds any word.  Every word with the
-    word's projection is a member, so a word that alone expands past
-    ``limit`` is refused before the walk.  The result always contains the
+    Exponential by design: every word with the word's projection is a
+    member, so a word that alone expands past ``limit`` is refused first;
+    then the walk refuses more than ``limit`` candidate words, and the
+    expansion more than ``limit`` members.  The result always contains the
     word and its reverse.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
     measure.check_word(word)
-    projected, length = measure.projected, len(word.indices)
-    refuse_power(len(projected.classes), length, "candidate words", limit)
-    least = _expansion(measure, [projected.project_word(word).indices])
-    if least > limit:
-        raise CapacityExceeded(
-            f"at least {least} class members exceed the limit of {limit}", count=least
-        )
-    target, _ = factor_max_payloads(
-        measure.payloads, word.indices, measure.identity_payload, measure.combine
-    )
-    leaves = list(walk_words(projected.measure, length, target))
-    count = _expansion(measure, leaves)
-    if count > limit:
-        raise CapacityExceeded(f"{count} class members exceed the limit of {limit}", count=count)
-    return _members(measure, leaves)
+    least = _expansion(measure, [measure.projected.project_word(word).indices])
+    refuse(least, "class members, at least,", limit)
+    leaves = list(walk_words(measure, len(word.indices), word, limit))
+    return _members(measure, leaves, limit, "class members")
 
 
 def count_prefix_normal_words(measure: WeightMeasure, n: int) -> int:
@@ -252,11 +243,9 @@ def count_prefix_normal_words(measure: WeightMeasure, n: int) -> int:
 
     Walks the prefix-normal words of the projected alphabet Σ′ and adds up
     how many source words each one stands for (the product of its class
-    sizes).  Refuses when the |Σ′|^n candidate words exceed
+    sizes).  The walk refuses when the |Σ′|^n candidate words exceed
     ``DEFAULT_LIMIT``, pruned or not.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    projected = measure.projected
-    refuse_power(len(projected.classes), n, "candidate words")
-    return _expansion(measure, walk_words(projected.measure, n))
+    return _expansion(measure, walk_words(measure, n))

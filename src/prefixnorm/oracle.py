@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import DEFAULT_LIMIT, CapacityExceeded, refuse_power
+from .errors import DEFAULT_LIMIT, refuse, refuse_power
 from .measure import (
     Alphabet,
     Gap,
@@ -628,9 +628,7 @@ def _corpus(seed: int, max_len: int) -> tuple[WeightMeasure, ...]:
     measures = corpus_measures(seed)
     refuse_power(max(len(m.alphabet) for m in measures), max_len, "words")
     total = sum(len(m.alphabet) ** max_len for m in measures)
-    if total > _CORPUS_LIMIT:
-        message = f"refusing: {total} corpus words of length {max_len}"
-        raise CapacityExceeded(f"{message} exceed the limit of {_CORPUS_LIMIT}", count=total)
+    refuse(total, f"corpus words of length {max_len}", _CORPUS_LIMIT)
     return measures
 
 

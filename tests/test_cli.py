@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from prefixnorm.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 STD3 = "monoid = nat-sum\nletters = a b c\nweights = 1 2 3\n"
 GAPFUL = "monoid = nat-sum\nletters = a b c\nweights = 1 3 4\n"
@@ -136,6 +143,34 @@ def test_class_limit_is_a_domain_error(capsys, spec):
     assert code == 1
     assert captured.out == ""
     assert "exceed the limit" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["class", NANABA, "banana", "--limit", "10"],
+        ["pnset", FOURLETTER, "nanaba", "--limit", "3"],
+        ["count-pn", NANABA, "11"],
+        ["count-binary-pn", "40"],
+        ["verify", "trichotomy", "--max-len", "7"],
+    ],
+    ids=["class", "pnset", "count-pn", "count-binary-pn", "verify"],
+)
+def test_count_refusals_share_one_wording(capsys, spec, argv):
+    argv = [spec(arg) if arg.startswith("monoid") else arg for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: refusing: ")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-m", "prefixnorm", "count-binary-pn", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "5\n")
 
 
 def test_count_pn(capsys, spec):

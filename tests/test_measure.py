@@ -79,6 +79,12 @@ def test_word_parse_empty_and_errors():
         Word.parse(ANB, "banzna")
 
 
+def test_word_parse_names_the_unknown_letter_and_keeps_the_comma_form():
+    with pytest.raises(ValueError, match="^letter 'z' is not in alphabet a n b$"):
+        Word.parse(ANB, "banzna")
+    assert Word.parse(ANB, "b,a,n") == Word.parse(ANB, "ban")
+
+
 @pytest.mark.parametrize(
     "letters,indices",
     [(("{a}", "{a}{b}", "{b}"), (0, 2)), (("a,b", "c"), (0, 1)), (("{a}", "{n,c}"), (1, 0))],

@@ -162,6 +162,16 @@ def test_equivalence_class_refuses_a_large_projection_fiber_before_the_walk(monk
     assert info.value.count == 2**1000
 
 
+def test_equivalence_class_walk_refuses_before_the_kernel(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("profiled")
+
+    monkeypatch.setattr(normalform, "factor_max_payloads", no_kernel)
+    measure = standard_measure(Alphabet(("a", "b")))
+    with pytest.raises(CapacityExceeded):
+        equivalence_class(measure, Word(measure.alphabet, (0, 1) * 2000))
+
+
 @pytest.mark.parametrize(
     "measure, counts",
     [
