@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from .errors import DEFAULT_LIMIT, CapacityExceeded, OutOfRange
 from .measure import Word, classify, format_weights, load_measure, parikh
@@ -170,6 +171,24 @@ def _cmd_count_binary_pn(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _any_int_digits():
+    """Lift Python's ``int`` -> ``str`` digit limit, so exact counts print at any size.
+
+    The limit exists from Python 3.10.7 on; it is restored on exit, as
+    ``main`` also runs in-process.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prefixnorm",
@@ -238,7 +257,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _any_int_digits():
+            return args.func(args)
     except (OutOfRange, CapacityExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -23,10 +23,22 @@ class CapacityExceeded(RuntimeError):
         self.count = count
 
 
+# The least count past Python's default 4300-digit ``int`` -> ``str`` limit.
+_UNPRINTABLE = 10**4300
+
+
 def refuse(count: int, what: str, limit: int = DEFAULT_LIMIT) -> None:
-    """Raise ``CapacityExceeded`` when ``count`` items exceed ``limit``: the one count gate."""
+    """Raise ``CapacityExceeded`` when ``count`` items exceed ``limit``: the one count gate.
+
+    The exception's ``count`` is exact; its message writes a count too long
+    for ``str`` by default as a power of ten below it, whatever the limit.
+    """
     if count > limit:
-        raise CapacityExceeded(f"refusing: {count} {what} exceed the limit of {limit}", count=count)
+        if count < _UNPRINTABLE:
+            text = str(count)
+        else:  # 0.301029 < log10(2), so the power stays below the count
+            text = f"more than 10^{(count.bit_length() - 1) * 301029 // 10**6}"
+        raise CapacityExceeded(f"refusing: {text} {what} exceed the limit of {limit}", count=count)
 
 
 def refuse_power(size: int, length: int, what: str, limit: int = DEFAULT_LIMIT) -> None:

@@ -15,9 +15,9 @@ question (gaps, steps, normal forms) without scanning candidates.
 All payloads are arbitrary-precision Python integers, so long product
 weights never overflow.  Payloads of every kind compare correctly with
 the native ``<`` operator, so measures and every algorithm work on bare
-payloads.  ``MonoidValue`` tags a payload with its kind for the values the
-package hands out (profiles, steps, word weights); its comparisons refuse
-to mix kinds.
+payloads; ``int_view`` folds vec2-lex pairs into ints for the hot loops.
+``MonoidValue`` tags the values the package hands out (profiles, steps,
+word weights) with their kind; its comparisons refuse to mix kinds.
 """
 
 from __future__ import annotations
@@ -92,10 +92,21 @@ def fold_pairs(pairs, scale: int) -> list[int]:
     When ``scale`` exceeds the second component of every sum that will be
     formed, no sum carries into the first component: the ints then order
     exactly as the pairs do lexicographically, ``operator.add`` combines
-    them in C, and ``divmod(v, scale)`` decodes a sum.  The profile kernel
-    and the trie walk share this fold; each picks its own scale.
+    them in C, and ``divmod(v, scale)`` decodes a sum.
     """
     return [a * scale + b for a, b in pairs]
+
+
+def int_view(weights, comb, length: int):
+    """``(ints, comb, scale)`` for sums of at most ``length`` of ``weights``.
+
+    vec2-lex pairs are folded, under ``operator.add``, with the one scale
+    ``length * (largest second component) + 1``; others come back with 0.
+    """
+    if comb is not _vec_add:
+        return weights, comb, 0
+    scale = length * max(b for _, b in weights) + 1
+    return fold_pairs(weights, scale), add, scale
 
 
 def check_payload(kind: MonoidKind, payload: Payload) -> None:

@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product, repeat
 from math import prod
-from operator import add, eq, ge, gt, or_
+from operator import eq, ge, gt, or_
 
 from .errors import DEFAULT_LIMIT, refuse, refuse_power
 from .measure import Word, WeightMeasure
-from .monoid import MonoidKind, fold_pairs
+from .monoid import fold_pairs, int_view
 from .profile import factor_max_payloads, factor_max_steps
 
 
@@ -149,9 +149,9 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
     remaining length, reaches an unattained length's target.  For the last
     letter this is the member test itself.
 
-    Payloads are walked as ints: vec2-lex pairs go through
-    ``monoid.fold_pairs`` with a scale above the second component of every
-    sum of at most ``length`` letters, and the target is folded alike.
+    Payloads are walked as ``monoid.int_view`` of the identity and the
+    projected weights, bounded by ``length`` letters; a folded view folds
+    the target alike.
 
     The walk keeps an explicit stack: a self-recursive closure would form a
     reference cycle holding every call's frame until a full collection.
@@ -162,12 +162,10 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
         target, _ = factor_max_payloads(
             measure.payloads, word.indices, measure.identity_payload, measure.combine
         )
-    ws, ident, comb = measure.projected.measure.payloads, measure.identity_payload, measure.combine
-    if measure.kind is MonoidKind.VEC2_LEX:
-        scale = length * max(b for _, b in ws) + 1
-        ws, ident, comb = fold_pairs(ws, scale), 0, add
-        if target is not None:
-            target = fold_pairs(target, scale)
+    weights = (measure.identity_payload, *measure.projected.measure.payloads)
+    (ident, *ws), comb, scale = int_view(weights, measure.combine, length)
+    if scale and target is not None:
+        target = fold_pairs(target, scale)
     letters = tuple(reversed(range(len(ws))))  # reversed, so the stack pops them in order
     if target is None:
         # Per node: its letters, its suffix weights by length (index 0 holds

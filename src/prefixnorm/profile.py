@@ -1,7 +1,7 @@
 """Factor-weight and prefix-weight profiles and the prefix-normal predicate.
 
 The raw helpers at the top operate on bare payloads.  Two O(n^2) routes
-compute factor maxima, with vec2-lex pairs folded into ints in both:
+compute factor maxima, both on ``monoid.int_view`` of the letter weights:
 
 * ``factor_max_payloads`` builds the full profile, start-major (a running
   combine from every start).  ``weight_profile``, ``gap_indexes``,
@@ -25,17 +25,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
-from operator import add
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import OutOfRange
-from .monoid import MonoidKind, MonoidValue, fold_pairs, payload_combine
+from .monoid import MonoidValue, int_view
 
 if TYPE_CHECKING:
     from .measure import Word, WeightMeasure
-
-_VEC_ADD = payload_combine(MonoidKind.VEC2_LEX)
 
 
 def factor_max_payloads(letter_weights: Sequence, indices: Sequence[int], ident, comb):
@@ -47,16 +43,12 @@ def factor_max_payloads(letter_weights: Sequence, indices: Sequence[int], ident,
     letter per step, so O(n^2) combines and one running value alive at a
     time.  Only combines are used, no inverse.
 
-    vec2-lex pairs go through ``monoid.fold_pairs`` for the kernel only,
-    with the scale one more than the word's total second component, which
-    bounds every window sum; the maxima are decoded with ``divmod``.
+    The loop runs on ``monoid.int_view`` of the identity and the letter
+    weights, with the word's length as the bound on a window; folded
+    maxima are decoded with ``divmod``.
     """
-    letters = [letter_weights[i] for i in indices]
-    scale = 0
-    if comb is _VEC_ADD:
-        scale = sum(b for _, b in letters) + 1
-        letters = fold_pairs(letters, scale)
-        ident, comb = 0, add
+    (ident, *ws), comb, scale = int_view((ident, *letter_weights), comb, len(indices))
+    letters = [ws[i] for i in indices]
     # Every window weighs at least the identity, the minimum of every carrier,
     # so a strictly heavier window is the first to beat the initial entry.
     n = len(letters)
@@ -82,14 +74,10 @@ def factor_max_steps(letter_weights: Sequence, indices: Sequence[int], comb):
     so a caller that stops after length k has paid for k rows.  Callers
     keep no yielded weight past the next step (see the module docstring).
     Takes the arguments of ``factor_max_payloads`` except the identity,
-    which lengths from 1 never need.  vec2-lex pairs are folded as there.
+    which lengths from 1 never need, and runs on the same ``int_view``.
     """
-    letters = [letter_weights[i] for i in indices]
-    scale = 0
-    if comb is _VEC_ADD:
-        scale = sum(b for _, b in letters) + 1
-        letters = fold_pairs(letters, scale)
-        comb = add
+    ws, comb, scale = int_view(letter_weights, comb, len(indices))
+    letters = [ws[i] for i in indices]
     row = letters
     for size in range(1, len(letters) + 1):
         if size > 1:
@@ -141,32 +129,20 @@ class WeightProfile:
     def __len__(self):
         return len(self.word.indices)
 
-    @cached_property
-    def _prefix_payloads(self) -> list:
-        return [value.payload for value in self.prefix]
-
-    def _check_kind(self, bound: MonoidValue) -> None:
-        if bound.kind is not self.measure.kind:
-            raise ValueError(
-                f"cannot query a {self.measure.kind.value} profile with a {bound.kind.value} value"
-            )
-
     def last_at_most(self, bound: MonoidValue) -> int:
         """Largest prefix length whose weight does not exceed ``bound``.
 
         Always defined: the empty prefix weighs the identity, the minimum
-        of every supported carrier.
+        of every supported carrier.  ``MonoidValue`` refuses a bound of
+        another kind with ``ValueError``, and anything else with ``TypeError``.
         """
-        self._check_kind(bound)
-        return bisect_right(self._prefix_payloads, bound.payload) - 1
+        return bisect_right(self.prefix, bound) - 1
 
     def first_at_least(self, bound: MonoidValue) -> int:
-        """Smallest prefix length whose weight reaches ``bound``."""
-        self._check_kind(bound)
-        payloads = self._prefix_payloads
-        if bound.payload > payloads[-1]:
+        """Smallest prefix length whose weight reaches ``bound``; refuses as ``last_at_most``."""
+        if self.prefix[-1] < bound:
             raise OutOfRange(f"no prefix of {self.word} weighs {bound} or more")
-        return bisect_left(payloads, bound.payload)
+        return bisect_left(self.prefix, bound)
 
     def factor_witness(self, size: int) -> "Word":
         """The leftmost factor of the given length realising the maximum."""

@@ -60,6 +60,18 @@ def test_classify_lines_output(capsys, spec):
     )
 
 
+@pytest.mark.parametrize(
+    "text,fmt,line",
+    [
+        ("monoid = nat-product\nletters = a b c\nweights = 2 3 5\n", "lines", "gap-witness cacb 3"),
+        (STD3, "text", "stepped: yes (step 1)"),
+    ],
+)
+def test_classify_prints_gap_witness_and_step(capsys, spec, text, fmt, line):
+    assert main(["classify", spec(text), "--format", fmt]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_weights_table_mirrors_profile(capsys, spec):
     code = main(["weights", spec(NANABA), "nanaba"])
     out = capsys.readouterr().out
@@ -114,6 +126,18 @@ def test_pnf_lines_variants(capsys, spec):
     assert capsys.readouterr().out == "multiple {b}{a}{n,c}{a}{n,c}{a} 4\n"
     assert main(["pnf", spec(XAXN), "xaxn", "--format", "lines"]) == 0
     assert capsys.readouterr().out == "gap xaxn 3\n"
+
+
+def test_pnf_prints_a_count_past_the_int_str_limit(capsys, spec):
+    # Ten letters of one weight: a^4301 stands for 10^4301 words, one digit
+    # more than Python prints by default; main restores that limit on exit.
+    ten = "monoid = nat-sum\nletters = a b c d e f g h i j\nweights = 1 1 1 1 1 1 1 1 1 1\n"
+    digits = sys.get_int_max_str_digits()
+    assert main(["pnf", spec(ten), "a" * 4301, "--format", "lines"]) == 0
+    kind, projected, count = capsys.readouterr().out.split()
+    assert (kind, projected) == ("multiple", "{a,b,c,d,e,f,g,h,i,j}" * 4301)
+    assert count == "1" + "0" * 4301
+    assert sys.get_int_max_str_digits() == digits
 
 
 def test_class_lists_words_sorted(capsys, spec):

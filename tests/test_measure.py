@@ -383,9 +383,14 @@ def test_sum_and_product_fixture_measures_are_equivalent():
 
 
 def test_inequivalent_measures_yield_a_witness_pair():
-    report = bounded_equivalence(sum_measure(ABC, 1, 2, 3), sum_measure(ABC, 1, 2, 4), max_len=4)
-    assert not report.equivalent
-    assert words(report.witness) == ["ac", "bb"]
+    for second in (sum_measure(ABC, 1, 2, 4), product_measure(ABC, 2, 3, 5)):
+        report = bounded_equivalence(sum_measure(ABC, 1, 2, 3), second, max_len=4)
+        assert not report.equivalent
+        assert words(report.witness) == ["ac", "bb"]
+        assert report.describe() == (
+            "inequivalent: same-length words ac and bb compare differently "
+            "(found within length bound 4)"
+        )
 
 
 def test_equivalence_is_reflexive():
@@ -566,6 +571,7 @@ def test_every_accepted_measure_round_trips_through_its_spec(tokens, kind, data)
         ("monoid = nat-sum\nletters = a b\nweights = 1\n", 3, "2 letters but 1 weights"),
         ("letters = a b\nweights = 1 2\n", None, "missing 'monoid'"),
         ("monoid = nat-sum\nletters = a b\nno equals sign\n", 3, "key = value"),
+        ("monoid = nat-sum\nletters = a b\nweights =\n", 3, "empty value for 'weights'"),
     ],
 )
 def test_parse_measure_text_errors(text, line, fragment):

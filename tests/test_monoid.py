@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from prefixnorm.monoid import (
     MonoidKind,
     MonoidValue,
     format_payload,
+    int_view,
     parse_payload,
     payload_combine,
     payload_identity,
@@ -184,3 +186,29 @@ def test_residual_is_none_exactly_when_no_element_fits(data):
     found = [x for x in _carrier_up_to(kind, b) if comb(a, x) == b]
     assert len(found) <= 1
     assert payload_residual(kind)(a, b) == (found[0] if found else None)
+
+
+_picks = st.lists(st.integers(0, 3), max_size=12)
+
+
+@given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 10**6)), min_size=1, max_size=4),
+       st.integers(0, 12), _picks, _picks)
+@example([(0, 1000), (1, 0)], 3, [0, 0, 0], [1])
+def test_int_view_folds_sums_of_at_most_length_vec2_weights(weights, length, first, second):
+    # Second components far above the first ones would carry into them under
+    # too small a scale, and misorder or misdecode the sums.
+    vec_add = payload_combine(MonoidKind.VEC2_LEX)
+    ints, comb, scale = int_view(weights, vec_add, length)
+    picks = [[i % len(weights) for i in pick[:length]] for pick in (first, second)]
+    pairs = [functools.reduce(vec_add, (weights[i] for i in pick), (0, 0)) for pick in picks]
+    folded = [functools.reduce(comb, (ints[i] for i in pick), 0) for pick in picks]
+    assert [divmod(v, scale) for v in folded] == pairs
+    (f, g), (p, q) = folded, pairs
+    assert (f < g, g < f) == (p < q, q < p)
+
+
+@pytest.mark.parametrize("kind", [MonoidKind.NAT_SUM, MonoidKind.NAT_PRODUCT])
+def test_int_view_passes_integer_carriers_through(kind):
+    weights, comb = (2, 3, 5), payload_combine(kind)
+    ints, view_comb, scale = int_view(weights, comb, 7)
+    assert ints is weights and view_comb is comb and scale == 0

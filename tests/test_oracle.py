@@ -388,6 +388,10 @@ def test_reports_are_replayable_on_forced_failure(monkeypatch):
         "measure[nat-product; letters a b; weights 8 3] | word abbbb | "
         "conditions disagree: (True, False, True, True)",
     )
+    assert report.render("text").splitlines() == [
+        "pn-equivalences: FAIL (3 cases; cases=3 max_len=5)",
+        *(f"  counterexample: {line}" for line in report.violations),
+    ]
 
 
 def test_gap_decision_reports_are_replayable_on_forced_failure(monkeypatch):

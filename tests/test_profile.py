@@ -103,6 +103,13 @@ def test_position_queries_reject_foreign_kinds():
         profile.last_at_most(MonoidValue(MonoidKind.NAT_PRODUCT, 5))
 
 
+@pytest.mark.parametrize("query", ["last_at_most", "first_at_least"])
+def test_position_queries_reject_bare_payloads(query):
+    profile = weight_profile(MU, w(ANB, "banana"))
+    with pytest.raises(TypeError, match="expected a MonoidValue, got int"):
+        getattr(profile, query)(5)
+
+
 def test_normality_conditions_fixtures():
     assert normality_conditions(MU, w(ANB, "banana")) == (True, True, True, True)
     assert normality_conditions(MU, w(ANB, "nanaba")) == (False, False, False, False)
