@@ -155,8 +155,13 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
 
     The walk keeps an explicit stack: a self-recursive closure would form a
     reference cycle holding every call's frame until a full collection.
+    A one-letter Σ′ has one word of each length, prefix normal and the only
+    candidate for any target, so it is yielded without a walk.
     """
     refuse_power(len(measure.projected.classes), length, "candidate words", limit)
+    if len(measure.projected.classes) == 1:
+        yield (0,) * length
+        return
     target = None
     if word is not None:
         target, _ = factor_max_payloads(

@@ -202,6 +202,22 @@ def test_count_prefix_normal_words_generalises_the_binary_count():
     ]
 
 
+def test_one_weight_measures_yield_their_one_projected_word_without_a_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the walk ran")
+
+    # The walk starts with the int view of the projected weights.
+    monkeypatch.setattr(normalform, "int_view", no_walk)
+    measure = sum_measure(Alphabet(("a", "b")), 1, 1)
+    assert count_prefix_normal_words(measure, 20000) == 2**20000
+    assert count_prefix_normal_words(sum_measure(Alphabet(("a",)), 5), 300) == 1
+    every = {Word(measure.alphabet, c) for c in itertools.product(range(2), repeat=5)}
+    assert equivalence_class(measure, Word(measure.alphabet, (0, 1, 1, 0, 1))) == every
+    with pytest.raises(CapacityExceeded) as info:
+        equivalence_class(measure, Word(measure.alphabet, (1,) * 12), limit=1000)
+    assert info.value.count == 2**12
+
+
 def test_count_prefix_normal_words_refuses_projected_candidates():
     # The cap counts projected words: 2^16 are searched for 4^16 words.
     assert count_prefix_normal_words(TRIPLE, 16) > 0

@@ -4,21 +4,24 @@ import random
 from bisect import bisect_left, bisect_right
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ABC, ANB, ANCB, sum_measure, vec_measure, w
 from prefixnorm import (
     Alphabet,
     MonoidValue,
+    NoNormalForm,
     OutOfRange,
     WeightMeasure,
     Word,
     is_prefix_normal,
     normality_conditions,
+    prefix_normal_form,
     subset_measure,
     weight_profile,
 )
+from prefixnorm import profile
 from prefixnorm.monoid import MonoidKind, payload_combine, payload_identity
 from prefixnorm.oracle import _running_factor_max, classic_max_ones, is_prefix_normal_classic
 from prefixnorm.profile import factor_max_payloads, factor_max_steps
@@ -316,3 +319,163 @@ def test_kernel_pins_a_long_vec2_word():
     total = (sum(weights[i][0] for i in indices), sum(weights[i][1] for i in indices))
     assert best[300] == total and starts[300] == 0
     assert len(best) == len(starts) == 301
+
+
+# --- the packed rows of the additive views ------------------------------------
+
+# Per magnitude, the largest weight (or pair of components) drawn.  On 28-96
+# letters the word's total then needs fields of 1, 2, 3 or 4, and more than
+# 8 bytes (beyond the packed rows' width limit), and often fills its last
+# byte, where a field without a spare guard bit would overflow.
+_SUM_TOPS = (3, 1000, 300_000, 2**70)
+_VEC_TOPS = ((3, 0), (1, 1), (3, 30), (2**30, 2**10))
+
+
+def _near(top):
+    return st.one_of(st.just(0), st.integers(top // 2, top))
+
+
+@st.composite
+def _packed_cases(draw):
+    kind = draw(st.sampled_from((MonoidKind.NAT_SUM, MonoidKind.VEC2_LEX)))
+    if kind is MonoidKind.NAT_SUM:
+        top = draw(st.sampled_from(_SUM_TOPS))
+        weight = _near(top)
+    else:
+        first, second = draw(st.sampled_from(_VEC_TOPS))
+        weight = st.tuples(_near(first), _near(second))
+    weights = draw(st.lists(weight, min_size=1, max_size=4))
+    n = draw(st.integers(28, 96))
+    indices = draw(st.lists(st.integers(0, len(weights) - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):  # prefix normal, so most steps repeat
+        indices.sort(key=weights.__getitem__, reverse=True)
+    if draw(st.booleans()):  # a letter the word leaves out, heavier than its total
+        if kind is MonoidKind.NAT_SUM:
+            weights.append(draw(st.integers(100 * top, 2**80)))
+        else:
+            weights.append((draw(st.integers(100 * first + 1, 2**40)), second))
+    return kind, tuple(weights), tuple(indices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_packed_cases())
+def test_packed_rows_match_the_running_combine_loop(case):
+    kind, weights, indices = case
+    best, starts = _both_kernels(*case)
+    steps = list(factor_max_steps(weights, indices, payload_combine(kind)))
+    assert steps == list(zip(best[1:], starts[1:]))
+
+
+LONG_VEC = vec_measure(Alphabet(tuple("abcd")), (0, 3), (1, 1), (1, 2), (2, 0))
+
+
+def _calls(monkeypatch, name):
+    """The list of the arguments of every call to a helper of ``profile``."""
+    calls = []
+    real = getattr(profile, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(profile, name, counting)
+    return calls
+
+
+def _random_word(measure, n, seed):
+    rng = random.Random(seed)
+    return Word(measure.alphabet, tuple(rng.randrange(len(measure.alphabet)) for _ in range(n)))
+
+
+@pytest.mark.parametrize(
+    "measure", [sum_measure(Alphabet(tuple("abcd")), 1, 2, 3, 4), LONG_VEC], ids=["sum", "vec2"]
+)
+def test_long_additive_words_take_the_packed_rows(monkeypatch, measure):
+    calls = _calls(monkeypatch, "_packed_steps")
+    word = _random_word(measure, 64, 1)
+    # Heaviest letter first, so the steps go past length 1.
+    heaviest = max(range(4), key=measure.payloads.__getitem__)
+    word = Word(measure.alphabet, (heaviest, *word.indices[1:]))
+    weight_profile(measure, word)
+    is_prefix_normal(measure, word)
+    prefix_normal_form(measure, word)
+    assert [len(letters) for letters, _ in calls] == [64, 64, 64]
+
+
+def test_steps_that_stop_at_length_one_build_no_packed_rows(monkeypatch):
+    calls = _calls(monkeypatch, "_packed_steps")
+    measure = sum_measure(Alphabet(tuple("abcd")), 1, 2, 3, 4)
+    word = Word(measure.alphabet, (0, 3) * 32)
+    assert not is_prefix_normal(measure, word)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "weights, indices, kind",
+    [
+        ((1, 300), (0,) * 48, MonoidKind.NAT_SUM),
+        (((1, 1), (2**30, 0), (0, 1)), (0, 2) * 30, MonoidKind.VEC2_LEX),
+    ],
+    ids=["sum", "vec2"],
+)
+def test_letters_the_word_leaves_out_do_not_size_the_fields(monkeypatch, weights, indices, kind):
+    # The unused letter outweighs the word's total, which sizes the fields.
+    calls = _calls(monkeypatch, "_packed_steps")
+    best, starts = _both_kernels(kind, weights, indices)
+    steps = list(factor_max_steps(weights, indices, payload_combine(kind)))
+    assert steps == list(zip(best[1:], starts[1:]))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "measure, n",
+    [
+        (sum_measure(Alphabet(tuple("abcd")), 1, 2, 3, 4), 31),
+        (WeightMeasure(Alphabet(tuple("abcd")), MonoidKind.NAT_PRODUCT, (2, 3, 5, 7)), 64),
+        (sum_measure(Alphabet(("a", "b")), 1, 10**40), 64),
+    ],
+    ids=["short", "product", "wide-fields"],
+)
+def test_short_product_and_wide_words_keep_the_loops(monkeypatch, measure, n):
+    calls = _calls(monkeypatch, "_packed_steps")
+    word = _random_word(measure, n, 1)
+    weight_profile(measure, word)
+    is_prefix_normal(measure, word)
+    prefix_normal_form(measure, word)
+    assert calls == []
+
+
+def test_gap_steps_of_a_long_vec2_word_agree_with_the_start_major_profile(monkeypatch):
+    # Steps such as (1,-2) lie between two letter steps: the packed rows
+    # read them off the windows above the lower one.
+    word = _random_word(LONG_VEC, 300, 300)
+    weights, indices = LONG_VEC.payloads, word.indices
+    f = _running_factor_max(weights, indices, (0, 0), payload_combine(MonoidKind.VEC2_LEX))
+    gaps = [
+        i
+        for i in range(1, len(f))
+        if (f[i][0] - f[i - 1][0], f[i][1] - f[i - 1][1]) not in weights
+    ]
+    assert len(gaps) == 41 and gaps[0] == 20
+    read = _calls(monkeypatch, "_heaviest")
+    assert payloads(weight_profile(LONG_VEC, word).factor_max) == f
+    assert read
+    result = prefix_normal_form(LONG_VEC, word)
+    assert isinstance(result, NoNormalForm) and result.gap_index == gaps[0]
+    assert not is_prefix_normal(LONG_VEC, word)
+    assert payloads(weight_profile(LONG_VEC, word).prefix) != f
+
+
+@pytest.mark.parametrize("few", [0, 16, 10**9], ids=["bisect", "split", "read"])
+def test_gap_steps_settle_alike_by_bisection_and_by_reading_the_windows(monkeypatch, few):
+    # The periodic word reaches gap steps that hundreds of windows pass,
+    # the random one gap steps that a few windows pass.
+    comb = payload_combine(MonoidKind.VEC2_LEX)
+    for indices in ((0, 3, 1, 2, 1) * 60, _random_word(LONG_VEC, 300, 300).indices):
+        monkeypatch.setattr(profile, "_PACKED_MIN_LETTERS", 10**9)
+        loops = factor_max_payloads(LONG_VEC.payloads, indices, (0, 0), comb)
+        monkeypatch.setattr(profile, "_PACKED_MIN_LETTERS", 48)
+        monkeypatch.setattr(profile, "_FEW_WINDOWS", few)
+        assert factor_max_payloads(LONG_VEC.payloads, indices, (0, 0), comb) == loops
+        steps = list(factor_max_steps(LONG_VEC.payloads, indices, comb))
+        assert steps == list(zip(loops[0][1:], loops[1][1:]))
