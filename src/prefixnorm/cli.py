@@ -155,7 +155,11 @@ def _cmd_pnset(args) -> int:
 def _cmd_verify(args) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+        value = os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
+        try:
+            seed = int(value)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {value!r}") from None
     report = run_suite(args.suite, seed=seed, max_len=args.max_len, cases=args.cases)
     print(report.render(args.format))
     return EXIT_OK if report.passed else EXIT_DOMAIN

@@ -15,7 +15,9 @@ question (gaps, steps, normal forms) without scanning candidates.
 All payloads are arbitrary-precision Python integers, so long product
 weights never overflow.  Payloads of every kind compare correctly with
 the native ``<`` operator, so measures and every algorithm work on bare
-payloads; ``int_view`` folds vec2-lex pairs into ints for the hot loops.
+payloads.  ``int_view`` is the one view of a carrier as Python ints for the
+hot loops, and its ``decode`` the one way back: vec2-lex pairs are folded
+into ints, the integer carriers pass through.
 ``MonoidValue`` tags the values the package hands out (profiles, steps,
 word weights) with their kind; its comparisons refuse to mix kinds.
 """
@@ -86,27 +88,23 @@ def payload_residual(kind: MonoidKind):
     return _RESIDUAL[kind]
 
 
-def fold_pairs(pairs, scale: int) -> list[int]:
-    """vec2-lex pairs as the ints ``a * scale + b``.
-
-    When ``scale`` exceeds the second component of every sum that will be
-    formed, no sum carries into the first component: the ints then order
-    exactly as the pairs do lexicographically, ``operator.add`` combines
-    them in C, and ``divmod(v, scale)`` decodes a sum.
-    """
-    return [a * scale + b for a, b in pairs]
-
-
 def int_view(weights, comb, length: int):
-    """``(ints, comb, scale)`` for sums of at most ``length`` of ``weights``.
+    """``(ints, comb, decode)`` for sums of at most ``length`` of ``weights``.
 
-    vec2-lex pairs are folded, under ``operator.add``, with the one scale
-    ``length * (largest second component) + 1``; others come back with 0.
+    The one code that encodes a carrier for the hot loops and decodes it
+    back.  vec2-lex pairs ``(a, b)`` become the ints ``a * scale + b`` under
+    ``operator.add``, with the one scale ``length * (largest second
+    component) + 1``.  It exceeds the second component of every such sum,
+    so no sum carries into the first component: the ints order exactly as
+    the pairs do lexicographically, and ``decode`` (``divmod`` by the
+    scale) maps a sum back to its pair.  The other carriers pass through,
+    with ``decode`` None.
     """
     if comb is not _vec_add:
-        return weights, comb, 0
+        return weights, comb, None
     scale = length * max(b for _, b in weights) + 1
-    return fold_pairs(weights, scale), add, scale
+    # ``scale.__rdivmod__(v)`` is ``divmod(v, scale)``, called without a Python frame.
+    return [a * scale + b for a, b in weights], add, scale.__rdivmod__
 
 
 def check_payload(kind: MonoidKind, payload: Payload) -> None:

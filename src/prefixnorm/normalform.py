@@ -9,8 +9,8 @@ from operator import eq, ge, gt, or_
 
 from .errors import DEFAULT_LIMIT, refuse, refuse_power
 from .measure import Word, WeightMeasure
-from .monoid import fold_pairs, int_view
-from .profile import factor_max_payloads, factor_max_steps
+from .monoid import int_view
+from .profile import _factor_max_ints, factor_max_steps
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,8 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
     letter this is the member test itself.
 
     Payloads are walked as ``monoid.int_view`` of the identity and the
-    projected weights, bounded by ``length`` letters; a folded view folds
-    the target alike.
+    projected weights, bounded by ``length`` letters, and never decoded:
+    the target is the projected word's factor maxima in that same view.
 
     The walk keeps an explicit stack: a self-recursive closure would form a
     reference cycle holding every call's frame until a full collection.
@@ -162,17 +162,10 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
     if len(measure.projected.classes) == 1:
         yield (0,) * length
         return
-    target = None
-    if word is not None:
-        target, _ = factor_max_payloads(
-            measure.payloads, word.indices, measure.identity_payload, measure.combine
-        )
     weights = (measure.identity_payload, *measure.projected.measure.payloads)
-    (ident, *ws), comb, scale = int_view(weights, measure.combine, length)
-    if scale and target is not None:
-        target = fold_pairs(target, scale)
+    (ident, *ws), comb, _ = int_view(weights, measure.combine, length)
     letters = tuple(reversed(range(len(ws))))  # reversed, so the stack pops them in order
-    if target is None:
+    if word is None:
         # Per node: its letters, its suffix weights by length (index 0 holds
         # the identity, the last entry the node's weight) and its prefix weights.
         stack = [((), [ident], [ident])]
@@ -187,6 +180,8 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
                 if not any(map(gt, grown, prefixes)):
                     stack.append((indices + (letter,), grown, [*prefixes, grown[-1]]))
         return
+    class_of = measure.projected.class_of
+    target, _ = _factor_max_ints([ws[class_of[i]] for i in word.indices], ident, comb)
     # Per node: its letters, its suffix weights by length, and per length
     # whether a factor of the node weighs the target.
     whole = target[length]

@@ -1,23 +1,26 @@
 """Factor-weight and prefix-weight profiles and the prefix-normal predicate.
 
 The raw helpers at the top operate on bare payloads.  Three O(n^2) routes
-compute factor maxima, all on ``monoid.int_view`` of the letter weights:
+compute factor maxima, all on the ints of ``monoid.int_view``; each public
+kernel decodes its view maxima in one place, with the view's ``decode``:
 
 * ``factor_max_payloads`` builds the full profile, start-major (a running
   combine from every start).  ``weight_profile``, ``gap_indexes``,
-  ``normality_conditions``, the sweeps and the class walk's target use it.
+  ``normality_conditions`` and the sweeps use it; the class walk takes
+  its target from the undecoded half, ``_factor_max_ints``, in its own view.
 * ``factor_max_steps`` yields one length at a time, length-major (one row
   of window weights, grown by one letter per length with a C-level
   ``map``), so ``is_prefix_normal`` and ``prefix_normal_form`` stop at the
   first length that decides them.
-* Both hand over to the packed rows of ``_packed_steps`` when the view is
-  additive (``int_view`` returns ``operator.add``: nat-sum and folded
-  vec2-lex), the word has at least ``_PACKED_MIN_LETTERS`` letters, and a
-  field of at most ``_PACKED_MAX_FIELD_BITS`` bits holds the word's total
-  weight below a spare guard bit.  All windows of one length then share
-  one Python int, one field each, so a length costs a few big-int adds,
-  shifts and masks that run in C instead of n Python-level combines.
-  nat-product keeps its loops: a product does not add field by field.
+* ``_route`` alone chooses, for both, the packed rows of ``_packed_steps``
+  over the loops: when the view is additive (``int_view`` returns
+  ``operator.add``: nat-sum and folded vec2-lex), the word has at least
+  ``_PACKED_MIN_LETTERS`` letters, and a field of at most
+  ``_PACKED_MAX_FIELD_BITS`` bits holds the word's total weight below a
+  spare guard bit.  All windows of one length then share one Python int,
+  one field each, so a length costs a few big-int adds, shifts and masks
+  that run in C instead of n Python-level combines.  nat-product keeps
+  its loops: a product does not add field by field.
 
 The limits are measured crossovers (CPython 3.11.7, shared 2-CPU x86_64,
 best of 9, packed against loops over the same words).  Prefix-normal
@@ -77,39 +80,43 @@ def factor_max_payloads(letter_weights: Sequence, indices: Sequence[int], ident,
 
     Returns the profile list (index 0 holds the identity) and, for each
     length, the leftmost start offset of a factor of that length with the
-    maximum weight.  Start-major: a running combine from every start, one
-    letter per step, so O(n^2) combines and one running value alive at a
-    time.  Only combines are used, no inverse.  Inputs that pack (see the
-    module docstring) take the packed rows instead.
-
-    The loop runs on ``monoid.int_view`` of the identity and the letter
-    weights, with the word's length as the bound on a window; folded
-    maxima are decoded with ``divmod``.
+    maximum weight.  The work runs on ``monoid.int_view`` of the identity
+    and the letter weights, with the word's length as the bound on a
+    window, and the view's maxima are decoded once at the end.
     """
-    (ident, *ws), comb, scale = int_view((ident, *letter_weights), comb, len(indices))
-    letters = [ws[i] for i in indices]
-    packed = len(letters) >= _PACKED_MIN_LETTERS and _field_bytes(letters, comb)
-    if packed:
+    (ident, *ws), comb, decode = int_view((ident, *letter_weights), comb, len(indices))
+    best, starts = _factor_max_ints([ws[i] for i in indices], ident, comb)
+    return (list(map(decode, best)) if decode else best), starts
+
+
+def _factor_max_ints(letters: list, ident, comb):
+    """``factor_max_payloads`` of a word's letter weights in one ``int_view``, undecoded.
+
+    Start-major: a running combine from every start, one letter per step,
+    so O(n^2) combines and one running value alive at a time.  Only
+    combines are used, no inverse.  Inputs that pack (see the module
+    docstring) take the packed rows instead.
+    """
+    field = _route(letters, comb)
+    if field:
         best, starts = [ident], [0]
-        for weight, start in _packed_steps(letters, packed):
+        for weight, start in _packed_steps(letters, field):
             best.append(weight)
             starts.append(start)
-    else:
-        # Every window weighs at least the identity, the minimum of every
-        # carrier, so a strictly heavier window is the first to beat the
-        # initial entry.
-        n = len(letters)
-        best = [ident] * (n + 1)
-        starts = [0] * (n + 1)
-        for start in range(n):
-            acc = ident
-            for size, weight in enumerate(letters[start:], 1):
-                acc = comb(acc, weight)
-                if best[size] < acc:
-                    best[size] = acc
-                    starts[size] = start
-    if scale:
-        best = [divmod(v, scale) for v in best]
+        return best, starts
+    # Every window weighs at least the identity, the minimum of every
+    # carrier, so a strictly heavier window is the first to beat the
+    # initial entry.
+    n = len(letters)
+    best = [ident] * (n + 1)
+    starts = [0] * (n + 1)
+    for start in range(n):
+        acc = ident
+        for size, weight in enumerate(letters[start:], 1):
+            acc = comb(acc, weight)
+            if best[size] < acc:
+                best[size] = acc
+                starts[size] = start
     return best, starts
 
 
@@ -124,37 +131,36 @@ def factor_max_steps(letter_weights: Sequence, indices: Sequence[int], comb):
     which lengths from 1 never need, and runs on the same ``int_view``;
     inputs that pack take the packed rows.
     """
-    ws, comb, scale = int_view(letter_weights, comb, len(indices))
+    ws, comb, decode = int_view(letter_weights, comb, len(indices))
     letters = [ws[i] for i in indices]
-    if not letters:
-        return
-    # Length 1 is read off the letters, so a caller that stops there pays
-    # for neither the route choice nor the packed rows.
-    best = max(letters)
-    yield (divmod(best, scale) if scale else best), letters.index(best)
-    packed = len(letters) >= _PACKED_MIN_LETTERS and _field_bytes(letters, comb)
-    if packed:
-        steps = _packed_steps(letters, packed)
-        next(steps)  # length 1, yielded above
-        for best, start in steps:
-            yield (divmod(best, scale) if scale else best), start
-        return
-    row = letters
-    for size in range(1, len(letters)):
-        row = list(map(comb, row, letters[size:]))
-        best = max(row)
-        yield (divmod(best, scale) if scale else best), row.index(best)
+    # ``rows`` holds the packed rows once they are chosen.  Length 1 is read
+    # off the letters, so a caller that stops there pays for neither the
+    # route choice nor the packed rows.
+    row, rows = letters, None
+    for k in range(len(letters)):  # windows of k + 1 letters
+        if rows is None:
+            if k:
+                row = list(map(comb, row, letters[k:]))
+            best = max(row)
+            start = row.index(best)
+        else:
+            best, start = next(rows)
+        yield (decode(best) if decode else best), start
+        if not k and (field := _route(letters, comb)):
+            rows = _packed_steps(letters, field)
+            next(rows)  # length 1, yielded above
 
 
-def _field_bytes(letters: list, comb) -> int:
-    """Bytes per field of the packed rows for the word's letter weights, or 0 where they do not run.
+def _route(letters: list, comb) -> int:
+    """Bytes per field of the packed rows for a word's view letters, or 0 where the loops run.
 
-    One field holds any window's weight with its top bit clear, the guard;
-    the width limit is the measured crossover of the module docstring.
-    Callers check the length limit first, as it costs no pass over the word
-    and no call.
+    The packed rows take additive views of at least ``_PACKED_MIN_LETTERS``
+    letters whose total fits a field of at most ``_PACKED_MAX_FIELD_BITS``
+    bits below a spare top bit, the guard (the measured crossovers of the
+    module docstring).  The length limit is tested first, as it costs no
+    pass over the word.
     """
-    if comb is not add:
+    if len(letters) < _PACKED_MIN_LETTERS or comb is not add:
         return 0
     size = sum(letters).bit_length() // 8 + 1
     return size if 8 * size <= _PACKED_MAX_FIELD_BITS else 0

@@ -259,6 +259,14 @@ def test_verify_seed_defaults_to_environment(capsys, monkeypatch):
     assert out.startswith("SUITE prime-gapful")
 
 
+def test_verify_names_a_seed_variable_that_is_no_integer(capsys, monkeypatch):
+    monkeypatch.setenv("PREFIXNORM_SEED", "abc")
+    assert main(["verify", "exchange"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: PREFIXNORM_SEED must be an integer, got 'abc'\n"
+
+
 def test_missing_measure_file_is_usage_error(capsys, tmp_path):
     code = main(["classify", str(tmp_path / "absent.measure")])
     assert code == 2

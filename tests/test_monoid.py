@@ -198,11 +198,11 @@ def test_int_view_folds_sums_of_at_most_length_vec2_weights(weights, length, fir
     # Second components far above the first ones would carry into them under
     # too small a scale, and misorder or misdecode the sums.
     vec_add = payload_combine(MonoidKind.VEC2_LEX)
-    ints, comb, scale = int_view(weights, vec_add, length)
+    ints, comb, decode = int_view(weights, vec_add, length)
     picks = [[i % len(weights) for i in pick[:length]] for pick in (first, second)]
     pairs = [functools.reduce(vec_add, (weights[i] for i in pick), (0, 0)) for pick in picks]
     folded = [functools.reduce(comb, (ints[i] for i in pick), 0) for pick in picks]
-    assert [divmod(v, scale) for v in folded] == pairs
+    assert [decode(v) for v in folded] == pairs
     (f, g), (p, q) = folded, pairs
     assert (f < g, g < f) == (p < q, q < p)
 
@@ -210,5 +210,5 @@ def test_int_view_folds_sums_of_at_most_length_vec2_weights(weights, length, fir
 @pytest.mark.parametrize("kind", [MonoidKind.NAT_SUM, MonoidKind.NAT_PRODUCT])
 def test_int_view_passes_integer_carriers_through(kind):
     weights, comb = (2, 3, 5), payload_combine(kind)
-    ints, view_comb, scale = int_view(weights, comb, 7)
-    assert ints is weights and view_comb is comb and scale == 0
+    ints, view_comb, decode = int_view(weights, comb, 7)
+    assert ints is weights and view_comb is comb and decode is None

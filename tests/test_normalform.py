@@ -166,7 +166,7 @@ def test_equivalence_class_walk_refuses_before_the_kernel(monkeypatch):
     def no_kernel(*args):
         raise AssertionError("profiled")
 
-    monkeypatch.setattr(normalform, "factor_max_payloads", no_kernel)
+    monkeypatch.setattr(normalform, "_factor_max_ints", no_kernel)
     measure = standard_measure(Alphabet(("a", "b")))
     with pytest.raises(CapacityExceeded):
         equivalence_class(measure, Word(measure.alphabet, (0, 1) * 2000))

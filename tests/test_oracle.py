@@ -101,9 +101,15 @@ def test_brute_set_agrees_with_fast_path_on_random_words():
         (product_measure(ABC, 2, 6, 18), 5),
         (VEC_FIXTURE, 5),
         (vec_measure(ABC, (0, 1), (0, 1), (1, 0)), 5),
+        # Four letters sum to second components past 1 * 2 + 1: a walk folded
+        # for one letter instead of the word's length misjudges the class of bbbc.
+        (vec_measure(ABC, (0, 1), (0, 2), (1, 0)), 5),
         (sum_measure(ANCB, 1, 3, 3, 4), 4),
     ],
-    ids=["sum-123", "sum-122", "product-235", "product-2-6-18", "vec-lex", "vec-tied", "sum-1334"],
+    ids=[
+        "sum-123", "sum-122", "product-235", "product-2-6-18", "vec-lex", "vec-tied",
+        "vec-second-heavy", "sum-1334",
+    ],
 )
 def test_equivalence_class_matches_brute_force_on_all_short_words(measure, max_len):
     size = len(measure.alphabet)

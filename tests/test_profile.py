@@ -404,10 +404,11 @@ def test_long_additive_words_take_the_packed_rows(monkeypatch, measure):
 
 def test_steps_that_stop_at_length_one_build_no_packed_rows(monkeypatch):
     calls = _calls(monkeypatch, "_packed_steps")
+    routes = _calls(monkeypatch, "_route")
     measure = sum_measure(Alphabet(tuple("abcd")), 1, 2, 3, 4)
     word = Word(measure.alphabet, (0, 3) * 32)
     assert not is_prefix_normal(measure, word)
-    assert calls == []
+    assert calls == routes == []
 
 
 @pytest.mark.parametrize(
