@@ -17,7 +17,11 @@ weights never overflow.  Payloads of every kind compare correctly with
 the native ``<`` operator, so measures and every algorithm work on bare
 payloads.  ``int_view`` is the one view of a carrier as Python ints for the
 hot loops, and its ``decode`` the one way back: vec2-lex pairs are folded
-into ints, the integer carriers pass through.
+into ints, the integer carriers pass through.  ``log_view`` is a second,
+approximate view of nat-product letters, which only the profile kernels'
+packed rows ask for: fixed-point base-2 logs that add where the weights
+multiply, with a bound on how far a sum of them lies below the exact log.
+``window_products`` decodes it back: the exact product of any window.
 ``MonoidValue`` tags the values the package hands out (profiles, steps,
 word weights) with their kind; its comparisons refuse to mix kinds.
 """
@@ -25,9 +29,11 @@ word weights) with their kind; its comparisons refuse to mix kinds.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import accumulate
 from operator import add, mul
 
 
@@ -105,6 +111,73 @@ def int_view(weights, comb, length: int):
     scale = length * max(b for _, b in weights) + 1
     # ``scale.__rdivmod__(v)`` is ``divmod(v, scale)``, called without a Python frame.
     return [a * scale + b for a, b in weights], add, scale.__rdivmod__
+
+
+# Fraction bits b of ``log_view``: a letter's log is kept to 2^-b.
+LOG_BITS = 16
+
+
+def log_view(weights) -> tuple[dict, int]:
+    """``(logs, slack)``: fixed-point base-2 logs of nat-product weights.
+
+    ``logs`` maps each weight w to an int L no larger than T = 2^b log2 w
+    (b = ``LOG_BITS``), so the logs of a window's letters add up to at
+    most the window's own T, and windows with equal letter counts to equal
+    ints.  L is the floor of T, taken from a float lowered by a bound on
+    its error.  Where T lies within that bound of an integer (a power of
+    two, or 2^64 + 1, whose float is 2^64) the floor is uncertain and L may
+    be one less.  ``slack`` is the largest gap T - L may reach, rounded up:
+    1 when every floor is certain, else 2.  A window of k letters therefore
+    sums to less than ``slack`` * k below its T, and never above it.
+    """
+    scale = 1 << LOG_BITS
+    logs, slack = {}, 1
+    for w in weights:
+        x = math.log2(w) * scale
+        # math.log2 of an int errs by a few units in the last place of its
+        # result, plus the rounding of w to a float: far below this bound.
+        err = (scale + x) * 2.0**-45
+        low, high = max(0, math.floor(x - err)), math.floor(x + err)
+        logs[w] = low
+        slack = max(slack, high - low + 1)
+    return logs, slack
+
+
+def window_products(letters):
+    """``window(start, size)``: the exact nat-product weight of ``letters[start:start + size]``.
+
+    The decode of ``log_view``.  A window one letter longer than the last
+    one asked for, at the same start or one before it, costs one multiply.
+    Any other is the quotient of two prefix products, which are built as
+    far as a window first needs them; but while the letters multiplied out
+    directly stay fewer than those the prefix products would have to
+    grow by, a window beyond them is multiplied out instead, so a caller
+    that stops after a few short windows builds none.
+    """
+    prefix = [1]
+    was = length = 0  # start and size of the last window
+    value = 1  # its product
+    direct = 0  # letters multiplied out so far instead of growing the prefix products
+
+    def window(start, size):
+        nonlocal was, length, value, direct
+        end = start + size
+        if size == length + 1 and was - 1 <= start <= was:
+            value *= letters[start if start < was else end - 1]
+        elif end < len(prefix):
+            value = prefix[end] // prefix[start]
+        elif direct + size < end - len(prefix):
+            direct += size
+            value = math.prod(letters[start:end])
+        else:
+            more = accumulate(letters[len(prefix) - 1:end], mul, initial=prefix[-1])
+            next(more)
+            prefix.extend(more)
+            value = prefix[end] // prefix[start]
+        was, length = start, size
+        return value
+
+    return window
 
 
 def check_payload(kind: MonoidKind, payload: Payload) -> None:

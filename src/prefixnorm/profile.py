@@ -56,13 +56,14 @@ The public API wraps results into MonoidValue.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from operator import add
+from operator import add, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import OutOfRange
-from .monoid import MonoidValue, int_view
+from .monoid import MonoidValue, int_view, log_view, window_products
 
 if TYPE_CHECKING:
     from .measure import Word, WeightMeasure
@@ -73,6 +74,7 @@ if TYPE_CHECKING:
 _PACKED_MIN_LETTERS = 48
 _PACKED_MAX_FIELD_BITS = 64
 _FEW_WINDOWS = 16
+_LOG_MIN_LETTERS = 160
 
 
 def factor_max_payloads(letter_weights: Sequence, indices: Sequence[int], ident, comb):
@@ -97,10 +99,10 @@ def _factor_max_ints(letters: list, ident, comb):
     combines are used, no inverse.  Inputs that pack (see the module
     docstring) take the packed rows instead.
     """
-    field = _route(letters, comb)
-    if field:
+    packed = _route(letters, comb)
+    if packed:
         best, starts = [ident], [0]
-        for weight, start in _packed_steps(letters, field):
+        for weight, start in _packed_steps(*packed):
             best.append(weight)
             starts.append(start)
         return best, starts
@@ -146,27 +148,41 @@ def factor_max_steps(letter_weights: Sequence, indices: Sequence[int], comb):
         else:
             best, start = next(rows)
         yield (decode(best) if decode else best), start
-        if not k and (field := _route(letters, comb)):
-            rows = _packed_steps(letters, field)
+        if not k and (packed := _route(letters, comb)):
+            rows = _packed_steps(*packed)
             next(rows)  # length 1, yielded above
 
 
-def _route(letters: list, comb) -> int:
-    """Bytes per field of the packed rows for a word's view letters, or 0 where the loops run.
+def _route(letters: list, comb):
+    """The arguments of ``_packed_steps`` for a word's view letters, or None where the loops run.
 
-    The packed rows take additive views of at least ``_PACKED_MIN_LETTERS``
-    letters whose total fits a field of at most ``_PACKED_MAX_FIELD_BITS``
-    bits below a spare top bit, the guard (the measured crossovers of the
-    module docstring).  The length limit is tested first, as it costs no
-    pass over the word.
+    The packed rows take words of at least ``_PACKED_MIN_LETTERS`` letters
+    under a view that adds: the additive views as they are, and nat-product
+    through ``monoid.log_view``, unless two of the word's weights share a
+    log.  A field of at most ``_PACKED_MAX_FIELD_BITS`` bits must hold the
+    word's total below a spare top bit, the guard (the measured crossovers
+    of the module docstring), and for the log view also the band and the
+    count digits of the certificate.  The length limit is tested first, as
+    it costs no pass over the word.
     """
-    if len(letters) < _PACKED_MIN_LETTERS or comb is not add:
-        return 0
-    size = sum(letters).bit_length() // 8 + 1
-    return size if 8 * size <= _PACKED_MAX_FIELD_BITS else 0
+    n = len(letters)
+    if n < _PACKED_MIN_LETTERS:
+        return None
+    if comb is add:
+        top, exact = sum(letters), ()
+    elif comb is mul and n >= _LOG_MIN_LETTERS:
+        logs, slack = log_view(set(letters))
+        if len(set(logs.values())) < len(logs):
+            return None
+        exact = (logs, slack),
+        top = max(n * max(logs.values()), slack * n, (n + 1) ** max(len(logs) - 2, 0))
+    else:
+        return None
+    size = top.bit_length() // 8 + 1
+    return (letters, size, *exact) if 8 * size <= _PACKED_MAX_FIELD_BITS else None
 
 
-def _packed_steps(letters: list, size: int):
+def _packed_steps(letters: list, size: int, exact=None):
     """``factor_max_steps`` of a word's nonnegative int letter weights under ``+``, on packed rows.
 
     ``row`` holds every window of the current length k in fields of
@@ -184,16 +200,38 @@ def _packed_steps(letters: list, size: int):
     Otherwise the letter steps are tried from the heaviest down, and a step
     strictly between two letter steps is read off the few windows above
     the lower one, or bisected while they are many.
+
+    With ``exact`` = ``(words, logs, slack)`` the letters are the
+    ``monoid.log_view`` logs of the nat-product letters ``words``, and each
+    length is certified and decoded before it is yielded.  The window of
+    the greatest product sums to less than ``slack`` * k below its exact
+    scaled log, which is at least the largest log sum M: so it lies in the
+    band of windows above M - ``slack`` * k, one more test.  When the band
+    holds one window, that window is the answer.  When every window of the
+    band sits at M and has the same letter counts, so the same product
+    (one test of the packed count digits of ``_counts``), its leftmost
+    window is.  Otherwise the exact products of the band's windows are
+    compared, one per distinct log sum and count digits.  Either way the
+    maximum is decoded with ``monoid.window_products``.
     """
     width = 8 * size
     guard = 1 << (width - 1)  # the guard bit of field 0
+    low = (1 << width) - 1  # the bits of field 0
     n = len(letters)
+    if exact:
+        logs, slack = exact
+        window = window_products(letters)
+        digits = None  # ``_prefix_digits``, built when a band first needs them
+        # Up to ``distinct`` letters, no two multisets of the logs share a sum;
+        # ``level`` holds the sums of ``distinct`` logs while it is worth growing.
+        distinct, level = 1, set(logs.values())
     # Only the weights the word uses: the field is sized by its total.
-    fields = {w: w.to_bytes(size, "little") for w in set(letters)}
+    view = logs if exact else {w: w for w in set(letters)}
+    fields = {w: v.to_bytes(size, "little") for w, v in view.items()}
     packed = int.from_bytes(b"".join(map(fields.__getitem__, letters)), "little")
     ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
     guards = ones << (width - 1)
-    up = sorted(fields, reverse=True)
+    up = sorted(view.values(), reverse=True)
     row, best, step = guards, 0, up[0]
 
     def at_least(e):
@@ -229,6 +267,43 @@ def _packed_steps(letters: list, size: int):
         top, start = _heaviest(row, hit, size)
         return top - guard, start
 
+    def certify(k, start):
+        # (the exact maximum of the windows of k letters, its leftmost start)
+        band = (row + (slack * k - 1) * ones) & guards
+        if band.bit_length() > width * (n + 1 - k):  # shorter suffixes
+            band &= (1 << width * (n + 1 - k)) - 1
+        if band == guard << width * start or row & band == band and alike(k, start, band):
+            return window(start, k), start
+        counted = count_digits(k) & (1 << width * (n + 1 - k)) - 1
+        return _exact_max(band, row, counted, size, k, window)
+
+    def alike(k, start, at):
+        # Whether the windows of k letters that ``at`` marks, all at M, hold the same letter counts.
+        nonlocal distinct, level
+        end = at.bit_length() // width  # past the last one
+        if at == guards >> width * (n - end + start) << width * start:
+            return True  # one run: neighbours at M trade letters of one log, so of one weight
+        while distinct < k and level:
+            grown = {total + log for total in level for log in up}
+            if len(grown) < math.comb(len(up) + distinct, distinct + 1):
+                level = None  # two multisets of distinct + 1 logs share a sum
+            else:
+                distinct += 1
+                # Grow it while that costs less than the digits.
+                level = grown if len(grown) * len(up) <= n else None
+        if k <= distinct:
+            return True  # no other multiset of k logs sums to M
+        counted = count_digits(k)
+        first = (counted >> width * start) & low
+        return not (counted ^ first * ones) & (at >> width - 1) * low
+
+    def count_digits(k):
+        # Field s: the count digits of the window of k letters at s (past n - k, garbage).
+        nonlocal digits
+        if digits is None:
+            digits = _prefix_digits(letters, logs, size)
+        return (digits >> width * k) - digits
+
     for k in range(n):
         row += packed >> width * k
         hit = above = 0
@@ -244,12 +319,66 @@ def _packed_steps(letters: list, size: int):
             step, start = settle(step, hit, above)
             row -= step * ones
         best += step
-        yield best, start
+        yield certify(k + 1, start) if exact else (best, start)
+
+
+def _exact_max(band: int, row: int, counted: int, size: int, k: int, window) -> tuple[int, int]:
+    """``(greatest product, leftmost start)`` of the windows of k letters marked in ``band``.
+
+    The certificate's fallback in ``_packed_steps``.  A window's field in
+    ``row`` (its log sum less a constant) and in ``counted`` (its count
+    digits, see ``_prefix_digits``) fix its letter counts, so one exact
+    product is taken per distinct pair; the windows go in order, so the
+    first to reach the greatest product is the leftmost.
+    """
+    length = (max(row.bit_length(), counted.bit_length()) + 7) // 8
+    sums, digits = row.to_bytes(length, "little"), counted.to_bytes(length, "little")
+    top, seen = 0, set()
+    for s in _fields(band, size):
+        key = sums[s * size:s * size + size], digits[s * size:s * size + size]
+        if key not in seen:
+            seen.add(key)
+            value = window(s, k)
+            if top < value:
+                top, start = value, s
+    return top, start
+
+
+def _prefix_digits(words: list, logs: dict, size: int) -> int:
+    """A nat-product word's prefix count digits, one field of ``size`` bytes each, field s for s letters.
+
+    Every weight but the lightest and the heaviest gets a digit in base
+    n + 1, so the digits of a window, the sum of its letters', count its
+    letters of each such weight (``_route`` sizes the fields to hold them).
+    Two windows of one length and one log sum with equal digits also hold
+    equal counts of the other two weights, as these two weights' logs
+    differ (``_route`` sees to that): so they weigh the same.  The prefix
+    sums are taken on the packed letters, each pass adding the row to
+    itself shifted by twice as many fields as the last.
+    """
+    n, width = len(words), 8 * size
+    digit = dict.fromkeys(logs, bytes(size))
+    digit.update((w, ((n + 1) ** i).to_bytes(size, "little")) for i, w in enumerate(sorted(logs)[1:-1]))
+    row = int.from_bytes(b"".join(map(digit.__getitem__, words)), "little")
+    shift = width
+    while shift < width * n:
+        row += row << shift
+        shift *= 2
+    return (row & (1 << width * n) - 1) << width
 
 
 def _leftmost(hit: int, width: int) -> int:
     """The field of the lowest guard bit set in ``hit``."""
     return (hit & -hit).bit_length() // width - 1
+
+
+def _fields(hit: int, size: int):
+    """The fields of ``size`` bytes whose guard bit is set in ``hit``, lowest first."""
+    guards = hit.to_bytes(hit.bit_length() // 8, "little")
+    end = guards.find(0x80)  # the top byte of a field
+    while end >= 0:
+        yield end // size
+        end = guards.find(0x80, end + 1)
 
 
 def _heaviest(row: int, hit: int, size: int) -> tuple[int, int]:

@@ -1,19 +1,24 @@
 import functools
 import itertools
+import random
+from math import prod
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from prefixnorm import monoid
 from prefixnorm.monoid import (
     MonoidKind,
     MonoidValue,
     format_payload,
     int_view,
+    log_view,
     parse_payload,
     payload_combine,
     payload_identity,
     payload_residual,
+    window_products,
 )
 
 
@@ -212,3 +217,35 @@ def test_int_view_passes_integer_carriers_through(kind):
     weights, comb = (2, 3, 5), payload_combine(kind)
     ints, view_comb, decode = int_view(weights, comb, 7)
     assert ints is weights and view_comb is comb and decode is None
+
+
+@pytest.mark.parametrize(
+    "bits, weights, slack",
+    [
+        (16, (1, 3, 5, 7, 1000, 3**20), 1),
+        (16, (2, 3, 4, 5), 2),  # the logs of powers of two are integers
+        (8, (10**40, 7), 1),
+        (8, (2**64 + 1, 3), 2),  # whose float is 2^64
+        (2, (2, 3, 5, 7, 8), 2),
+    ],
+)
+def test_log_view_lies_less_than_slack_below_the_scaled_log(monkeypatch, bits, weights, slack):
+    # w^(2^b) has exactly floor(2^b log2 w) + 1 bits.
+    monkeypatch.setattr(monoid, "LOG_BITS", bits)
+    logs, got = log_view(set(weights))
+    assert got == slack and set(logs) == set(weights)
+    for weight, log in logs.items():
+        floor = (weight ** (1 << bits)).bit_length() - 1
+        assert log <= floor < log + slack
+
+
+def test_window_products_decode_every_window():
+    rng = random.Random(5)
+    letters = [rng.choice((2, 3, 5, 7, 10**40)) for _ in range(300)]
+    window = window_products(letters)
+    # Windows one letter longer than the last, far-off windows and short
+    # ones the prefix products do not reach yet.
+    asks = [(0, 1), (0, 2), (0, 3), (250, 2), (249, 3), (249, 4), (3, 200), (2, 201), (10, 5)]
+    asks += [(start, rng.randrange(1, 301 - start)) for start in rng.choices(range(300), k=200)]
+    for start, size in asks:
+        assert window(start, size) == prod(letters[start:start + size])

@@ -35,7 +35,7 @@ from prefixnorm import (
     standard_measure,
     weight_profile,
 )
-from prefixnorm import normalform
+from prefixnorm import normalform, profile
 from prefixnorm.profile import factor_max_payloads, gap_indexes, prefix_payloads
 
 MU_ANB = sum_measure(ANB, 1, 2, 3)
@@ -170,6 +170,46 @@ def test_equivalence_class_walk_refuses_before_the_kernel(monkeypatch):
     measure = standard_measure(Alphabet(("a", "b")))
     with pytest.raises(CapacityExceeded):
         equivalence_class(measure, Word(measure.alphabet, (0, 1) * 2000))
+
+
+def test_the_walk_compares_exact_products_where_the_profile_takes_the_log_view(monkeypatch):
+    # a^47 b under (2, 3): every word with one b shares its factor maxima
+    # 3 * 2^(k-1).  With the log view from 48 letters, the profile route
+    # packs it, but the walk and the normal form see the exact products.
+    monkeypatch.setattr(profile, "_LOG_MIN_LETTERS", 48)
+    measure = product_measure(Alphabet(("a", "b")), 2, 3)
+    word = Word(measure.alphabet, (0,) * 47 + (1,))
+    views, targets, steps = [], [], []
+
+    def recording(real, seen):
+        def record(*args):
+            out = real(*args)
+            seen.append(out)
+            return out
+
+        return record
+
+    monkeypatch.setattr(normalform, "int_view", recording(normalform.int_view, views))
+    monkeypatch.setattr(normalform, "_factor_max_ints", recording(normalform._factor_max_ints, targets))
+    real_steps = normalform.factor_max_steps
+
+    def recording_steps(*args):
+        for step in real_steps(*args):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(normalform, "factor_max_steps", recording_steps)
+    packed = []
+    monkeypatch.setattr(profile, "_packed_steps", recording(profile._packed_steps, packed))
+    members = equivalence_class(measure, word, limit=2**48)
+    assert members == {Word(measure.alphabet, (0,) * i + (1,) + (0,) * (47 - i)) for i in range(48)}
+    maxima = [1] + [3 * 2 ** (k - 1) for k in range(1, 49)]
+    [(ints, comb, decode)] = views
+    assert ints == (1, 2, 3) and comb is measure.combine and decode is None
+    assert targets == [(maxima, [0] + [47 - k + 1 for k in range(1, 49)])]
+    assert prefix_normal_set(measure, word, limit=2**48) == {Word(measure.alphabet, (1,) + (0,) * 47)}
+    assert steps == list(zip(maxima[1:], [47 - k + 1 for k in range(1, 49)]))
+    assert len(packed) == 2
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
-import functools
 import itertools
 import random
 from bisect import bisect_left, bisect_right
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +21,7 @@ from prefixnorm import (
     subset_measure,
     weight_profile,
 )
-from prefixnorm import profile
+from prefixnorm import monoid, profile
 from prefixnorm.monoid import MonoidKind, payload_combine, payload_identity
 from prefixnorm.oracle import _running_factor_max, classic_max_ones, is_prefix_normal_classic
 from prefixnorm.profile import factor_max_payloads, factor_max_steps
@@ -276,19 +276,19 @@ def _both_kernels(kind, weights, indices):
     """The fast kernel's profile, its maxima checked against the oracle loop.
 
     Each start is checked by definition: its window weighs the maximum and
-    every window starting earlier weighs less.
+    every window starting earlier weighs less.  The windows of each length
+    are those of the last length, each combined with its next letter.
     """
     ident, comb = payload_identity(kind), payload_combine(kind)
     best, starts = factor_max_payloads(weights, indices, ident, comb)
     assert best == _running_factor_max(weights, indices, ident, comb)
 
-    def window(start, size):
-        return functools.reduce(comb, (weights[i] for i in indices[start:start + size]), ident)
-
     assert starts[0] == 0
+    windows = [ident] * (len(indices) + 1)  # by start, of the current length
     for size in range(1, len(indices) + 1):
-        assert window(starts[size], size) == best[size]
-        assert all(window(start, size) < best[size] for start in range(starts[size]))
+        windows = [comb(acc, weights[i]) for acc, i in zip(windows, indices[size - 1:])]
+        assert windows[starts[size]] == best[size]
+        assert all(window < best[size] for window in windows[:starts[size]])
     return best, starts
 
 
@@ -321,7 +321,7 @@ def test_kernel_pins_a_long_vec2_word():
     assert len(best) == len(starts) == 301
 
 
-# --- the packed rows of the additive views ------------------------------------
+# --- the packed rows -----------------------------------------------------------
 
 # Per magnitude, the largest weight (or pair of components) drawn.  On 28-96
 # letters the word's total then needs fields of 1, 2, 3 or 4, and more than
@@ -329,6 +329,11 @@ def test_kernel_pins_a_long_vec2_word():
 # byte, where a field without a spare guard bit would overflow.
 _SUM_TOPS = (3, 1000, 300_000, 2**70)
 _VEC_TOPS = ((3, 0), (1, 1), (3, 30), (2**30, 2**10))
+# The weights of nat-product words.  Powers of one base tie exactly across
+# different letter counts (2 * 8 == 4 * 4), and their logs are integers; the
+# float of 2^64 + 1 is 2^64, so its log is too.  Both put a float's floor in
+# doubt.  10^40 adds far more to a window's log than the small weights.
+_PRODUCT_WEIGHTS = ((2, 3, 5, 7), (2, 4, 8), (10**40, 3, 7), (2**64 + 1, 2, 5))
 
 
 def _near(top):
@@ -337,27 +342,31 @@ def _near(top):
 
 @st.composite
 def _packed_cases(draw):
-    kind = draw(st.sampled_from((MonoidKind.NAT_SUM, MonoidKind.VEC2_LEX)))
+    kind = draw(st.sampled_from(list(MonoidKind)))
     if kind is MonoidKind.NAT_SUM:
         top = draw(st.sampled_from(_SUM_TOPS))
         weight = _near(top)
+    elif kind is MonoidKind.NAT_PRODUCT:
+        weight = st.sampled_from(draw(st.sampled_from(_PRODUCT_WEIGHTS)))
     else:
         first, second = draw(st.sampled_from(_VEC_TOPS))
         weight = st.tuples(_near(first), _near(second))
     weights = draw(st.lists(weight, min_size=1, max_size=4))
-    n = draw(st.integers(28, 96))
+    n = draw(st.integers(28, 300 if kind is MonoidKind.NAT_PRODUCT else 96))
     indices = draw(st.lists(st.integers(0, len(weights) - 1), min_size=n, max_size=n))
     if draw(st.booleans()):  # prefix normal, so most steps repeat
         indices.sort(key=weights.__getitem__, reverse=True)
     if draw(st.booleans()):  # a letter the word leaves out, heavier than its total
         if kind is MonoidKind.NAT_SUM:
             weights.append(draw(st.integers(100 * top, 2**80)))
+        elif kind is MonoidKind.NAT_PRODUCT:
+            weights.append(prod(weights[i] for i in indices) * draw(st.integers(2, 9)))
         else:
             weights.append((draw(st.integers(100 * first + 1, 2**40)), second))
     return kind, tuple(weights), tuple(indices)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(_packed_cases())
 def test_packed_rows_match_the_running_combine_loop(case):
     kind, weights, indices = case
@@ -387,28 +396,36 @@ def _random_word(measure, n, seed):
     return Word(measure.alphabet, tuple(rng.randrange(len(measure.alphabet)) for _ in range(n)))
 
 
+LONG_PRODUCT = WeightMeasure(Alphabet(tuple("abcd")), MonoidKind.NAT_PRODUCT, (2, 3, 5, 7))
+
+
 @pytest.mark.parametrize(
-    "measure", [sum_measure(Alphabet(tuple("abcd")), 1, 2, 3, 4), LONG_VEC], ids=["sum", "vec2"]
+    "measure, n",
+    [(sum_measure(Alphabet(tuple("abcd")), 1, 2, 3, 4), 64), (LONG_VEC, 64), (LONG_PRODUCT, 160)],
+    ids=["sum", "vec2", "product"],
 )
-def test_long_additive_words_take_the_packed_rows(monkeypatch, measure):
+def test_long_additive_words_take_the_packed_rows(monkeypatch, measure, n):
+    # nat-product words take them through the log view, from 160 letters.
     calls = _calls(monkeypatch, "_packed_steps")
-    word = _random_word(measure, 64, 1)
+    word = _random_word(measure, n, 1)
     # Heaviest letter first, so the steps go past length 1.
     heaviest = max(range(4), key=measure.payloads.__getitem__)
     word = Word(measure.alphabet, (heaviest, *word.indices[1:]))
     weight_profile(measure, word)
     is_prefix_normal(measure, word)
     prefix_normal_form(measure, word)
-    assert [len(letters) for letters, _ in calls] == [64, 64, 64]
+    assert [len(args[0]) for args in calls] == [n, n, n]
 
 
 def test_steps_that_stop_at_length_one_build_no_packed_rows(monkeypatch):
     calls = _calls(monkeypatch, "_packed_steps")
     routes = _calls(monkeypatch, "_route")
-    measure = sum_measure(Alphabet(tuple("abcd")), 1, 2, 3, 4)
-    word = Word(measure.alphabet, (0, 3) * 32)
-    assert not is_prefix_normal(measure, word)
-    assert calls == routes == []
+    logs = _calls(monkeypatch, "log_view")
+    windows = _calls(monkeypatch, "window_products")
+    for measure in (sum_measure(Alphabet(tuple("abcd")), 1, 2, 3, 4), LONG_PRODUCT):
+        word = Word(measure.alphabet, (0, 3) * 80)
+        assert not is_prefix_normal(measure, word)
+    assert calls == routes == logs == windows == []
 
 
 @pytest.mark.parametrize(
@@ -432,10 +449,12 @@ def test_letters_the_word_leaves_out_do_not_size_the_fields(monkeypatch, weights
     "measure, n",
     [
         (sum_measure(Alphabet(tuple("abcd")), 1, 2, 3, 4), 31),
-        (WeightMeasure(Alphabet(tuple("abcd")), MonoidKind.NAT_PRODUCT, (2, 3, 5, 7)), 64),
+        (LONG_PRODUCT, 31),
+        (LONG_PRODUCT, 159),
         (sum_measure(Alphabet(("a", "b")), 1, 10**40), 64),
+        (WeightMeasure(Alphabet(tuple("abc")), MonoidKind.NAT_PRODUCT, (2**64, 2**64 + 1, 3)), 160),
     ],
-    ids=["short", "product", "wide-fields"],
+    ids=["short", "product", "product-below-the-log-view", "wide-fields", "shared-log"],
 )
 def test_short_product_and_wide_words_keep_the_loops(monkeypatch, measure, n):
     calls = _calls(monkeypatch, "_packed_steps")
@@ -444,6 +463,38 @@ def test_short_product_and_wide_words_keep_the_loops(monkeypatch, measure, n):
     is_prefix_normal(measure, word)
     prefix_normal_form(measure, word)
     assert calls == []
+
+
+@pytest.mark.parametrize("weights", [(2, 3, 5, 7), (2, 4, 8)], ids=["primes", "powers"])
+def test_coarse_logs_leave_the_exact_products_to_the_certificate(monkeypatch, weights):
+    # With logs to a quarter unit, the band of many lengths holds windows of
+    # other letter counts, so the exact fallback runs; words of 4-letter
+    # periods put the windows at M far apart, so the count digits run too.
+    monkeypatch.setattr(monoid, "LOG_BITS", 2)
+    packed = _calls(monkeypatch, "_packed_steps")
+    digits = _calls(monkeypatch, "_prefix_digits")
+    fallbacks = _calls(monkeypatch, "_exact_max")
+    comb = payload_combine(MonoidKind.NAT_PRODUCT)
+    rng = random.Random(17)
+    for n in (160, 200, 248):
+        word = [rng.randrange(len(weights)) for _ in range(n)]
+        for indices in (word, sorted(word, key=weights.__getitem__, reverse=True), (0, 2, 1, 1) * (n // 4)):
+            best, starts = _both_kernels(MonoidKind.NAT_PRODUCT, weights, tuple(indices))
+            steps = list(factor_max_steps(weights, indices, comb))
+            assert steps == list(zip(best[1:], starts[1:]))
+    assert len(packed) == 18 and digits and len(fallbacks) > 100
+
+
+def test_windows_of_one_log_sum_and_other_letter_counts_are_told_apart(monkeypatch):
+    # To a sixteenth unit, log 3 + log 5 and log 4 + log 4 both round to 62,
+    # yet 3 * 5 < 4 * 4: the windows 35, 53 and 44 all sit at the packed
+    # maximum of length 2, alone in the band, and only their counts differ.
+    monkeypatch.setattr(monoid, "LOG_BITS", 4)
+    digits = _calls(monkeypatch, "_prefix_digits")
+    indices = (0, 2, 0, 1, 1) * 32  # (3 5 3 4 4)^32
+    best, starts = _both_kernels(MonoidKind.NAT_PRODUCT, (3, 4, 5), indices)
+    assert (best[2], starts[2]) == (16, 3)
+    assert digits
 
 
 def test_gap_steps_of_a_long_vec2_word_agree_with_the_start_major_profile(monkeypatch):
