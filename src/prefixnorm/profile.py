@@ -19,8 +19,15 @@ kernel decodes its view maxima in one place, with the view's ``decode``:
   ``_PACKED_MAX_FIELD_BITS`` bits holds the word's total weight below a
   spare guard bit.  All windows of one length then share one Python int,
   one field each, so a length costs a few big-int adds, shifts and masks
-  that run in C instead of n Python-level combines.  nat-product keeps
-  its loops: a product does not add field by field.
+  that run in C instead of n Python-level combines.  nat-product words of
+  at least ``_LOG_MIN_LETTERS`` letters take them on ``monoid.log_view``:
+  each weight w becomes L = floor(2^b log2 w), b = ``monoid.LOG_BITS`` =
+  16, and the rows add logs.  A window's log sum lies less than ``slack``
+  units per letter (1, or 2 where a float's floor is in doubt) below its
+  scaled log, so each length is certified before it is yielded (see
+  ``_packed_steps``) and decoded with ``monoid.window_products``: both
+  kernels still return exact products, and the class walk, whose
+  ``int_view`` keeps the products, still compares them with ``==``.
 
 The limits are measured crossovers (CPython 3.11.7, shared 2-CPU x86_64,
 best of 9, packed against loops over the same words).  Prefix-normal
@@ -33,6 +40,15 @@ prefix-normal ones; at 2000, 1.9-7.2x and 3.3-9.9x.  On 250-letter
 nat-sum words they still won with 56-64-bit fields (random 1.0-1.1x,
 prefix normal 1.8-2.1x) and lost from 72 bits (random 0.4-0.75x), as every
 operation grows with the field while the loops' ints stay small.
+
+The log view pays per length for the band test and the decode, and its
+steps seldom repeat, so it needs longer words (nat-product (2,3,5,7), best
+of 11, full profile, median over 12 words): random words took 0.5x the
+loops' speed at 48 letters, 0.9x at 128 and 1.1x at 160 (0.75-1.9x),
+prefix-normal ones 1.0x at 48, 1.9x at 128 and 2.2x at 160; at 2000
+letters (four words) 3.5x and 6.5x.  On the nat-product calls of two long-words rounds, b = 12,
+16, 20, 24 and 32 took 0.99, 0.87, 0.91, 0.89 and 1.24 s; b = 16 keeps a
+field at 4 bytes up to about 11 000 letters of weight 7.
 
 A step that lies strictly between two letter steps, frequent for vec2-lex,
 is settled by bisection while more than ``_FEW_WINDOWS`` windows reach the
@@ -47,9 +63,9 @@ Thresholds from 8 to 64 read within 10 % of 16 on all of them.
 The full profile and the steps do not replace each other.  On whole
 random words of 4-32 letters the steps took 15-40 % longer than the full
 profile, as each length pays for a new row; and a kept row value pins its
-allocation, so collecting every step of a 2000-letter nat-product word
-raised peak RSS by 3.2 MiB where the full profile raised it by under
-0.1 MiB.  Callers of the steps therefore keep no yielded weight past the
+allocation, so collecting every step of a random 2000-letter nat-product
+word on the loops raised peak RSS by 3.3-7.4 MiB where the full profile
+raised it by under 0.1 MiB (on the log view, by 0.25-0.4 and 0.25 MiB).  Callers of the steps therefore keep no yielded weight past the
 next step.  The brute-force oracles keep their own definitional loop.
 The public API wraps results into MonoidValue.
 """
@@ -68,13 +84,14 @@ from .monoid import MonoidValue, int_view, log_view, window_products
 if TYPE_CHECKING:
     from .measure import Word, WeightMeasure
 
-# The packed rows run from this many letters, on fields of at most this many
-# bits, and read off at most this many windows where they would otherwise
-# bisect (see the module docstring).
+# The packed rows run from this many letters (on the log view, from the
+# second count), on fields of at most this many bits, and read off at most
+# this many windows where they would otherwise bisect (see the module
+# docstring).
 _PACKED_MIN_LETTERS = 48
+_LOG_MIN_LETTERS = 160
 _PACKED_MAX_FIELD_BITS = 64
 _FEW_WINDOWS = 16
-_LOG_MIN_LETTERS = 160
 
 
 def factor_max_payloads(letter_weights: Sequence, indices: Sequence[int], ident, comb):
@@ -156,30 +173,35 @@ def factor_max_steps(letter_weights: Sequence, indices: Sequence[int], comb):
 def _route(letters: list, comb):
     """The arguments of ``_packed_steps`` for a word's view letters, or None where the loops run.
 
-    The packed rows take words of at least ``_PACKED_MIN_LETTERS`` letters
-    under a view that adds: the additive views as they are, and nat-product
-    through ``monoid.log_view``, unless two of the word's weights share a
-    log.  A field of at most ``_PACKED_MAX_FIELD_BITS`` bits must hold the
-    word's total below a spare top bit, the guard (the measured crossovers
-    of the module docstring), and for the log view also the band and the
-    count digits of the certificate.  The length limit is tested first, as
-    it costs no pass over the word.
+    The packed rows take additive views of at least ``_PACKED_MIN_LETTERS``
+    letters, and nat-product words of at least ``_LOG_MIN_LETTERS`` through
+    ``monoid.log_view``, unless the logs of two of their weights lie within
+    the band of the whole word, ``slack`` * n: windows that trade one such
+    letter for the other would crowd the bands of long lengths into the
+    exact fallback (random 250-letter words over (1000, 1001, 999, 7),
+    logs 94 apart, fell back at 89 lengths and took 1.7x the loops' time).
+    A field of at most ``_PACKED_MAX_FIELD_BITS`` bits must hold below a
+    spare top bit, the guard, the word's total (the measured crossovers of
+    the module docstring); on the log view n times the largest log bounds
+    it, and the field must also hold the band and the certificate's count
+    digits.  The length limit is tested first, as it costs no pass over
+    the word.
     """
     n = len(letters)
     if n < _PACKED_MIN_LETTERS:
         return None
     if comb is add:
-        top, exact = sum(letters), ()
+        top, exact = sum(letters), None
     elif comb is mul and n >= _LOG_MIN_LETTERS:
-        logs, slack = log_view(set(letters))
-        if len(set(logs.values())) < len(logs):
+        logs, slack = exact = log_view(set(letters))
+        ranked = sorted(logs.values())
+        if any(high - low <= slack * n for low, high in zip(ranked, ranked[1:])):
             return None
-        exact = (logs, slack),
         top = max(n * max(logs.values()), slack * n, (n + 1) ** max(len(logs) - 2, 0))
     else:
         return None
     size = top.bit_length() // 8 + 1
-    return (letters, size, *exact) if 8 * size <= _PACKED_MAX_FIELD_BITS else None
+    return (letters, size, exact) if 8 * size <= _PACKED_MAX_FIELD_BITS else None
 
 
 def _packed_steps(letters: list, size: int, exact=None):
@@ -201,18 +223,21 @@ def _packed_steps(letters: list, size: int, exact=None):
     strictly between two letter steps is read off the few windows above
     the lower one, or bisected while they are many.
 
-    With ``exact`` = ``(words, logs, slack)`` the letters are the
-    ``monoid.log_view`` logs of the nat-product letters ``words``, and each
-    length is certified and decoded before it is yielded.  The window of
-    the greatest product sums to less than ``slack`` * k below its exact
-    scaled log, which is at least the largest log sum M: so it lies in the
-    band of windows above M - ``slack`` * k, one more test.  When the band
-    holds one window, that window is the answer.  When every window of the
-    band sits at M and has the same letter counts, so the same product
-    (one test of the packed count digits of ``_counts``), its leftmost
-    window is.  Otherwise the exact products of the band's windows are
-    compared, one per distinct log sum and count digits.  Either way the
-    maximum is decoded with ``monoid.window_products``.
+    With ``exact`` = ``(logs, slack)`` of ``monoid.log_view``, the letters
+    are nat-product weights and the fields hold their logs; each length is
+    certified and decoded before it is yielded.  Every window of the
+    greatest product sums to less than ``slack`` * k below its scaled log,
+    which is at least the largest log sum M: so it lies in the band of
+    windows above M - ``slack`` * k, one more test.  When the band holds
+    one window, that window is the answer.  When every window of the band
+    sits at M with the same letter counts, so the same product, their
+    leftmost is.  They do when they form one run, as neighbours at M
+    trade two letters of one log, and so of one weight (``_route`` admits
+    no two weights of one log); when no two multisets of k logs share a
+    sum (tried while there are few); or when the packed count digits of
+    ``_prefix_digits`` agree, one more test.  Otherwise ``_exact_max``
+    compares exact products.  The maximum is decoded with
+    ``monoid.window_products``.
     """
     width = 8 * size
     guard = 1 << (width - 1)  # the guard bit of field 0
@@ -331,16 +356,18 @@ def _exact_max(band: int, row: int, counted: int, size: int, k: int, window) -> 
     product is taken per distinct pair; the windows go in order, so the
     first to reach the greatest product is the leftmost.
     """
-    length = (max(row.bit_length(), counted.bit_length()) + 7) // 8
-    sums, digits = row.to_bytes(length, "little"), counted.to_bytes(length, "little")
+    length = (max(band.bit_length(), row.bit_length(), counted.bit_length()) + 7) // 8
+    marks, sums, digits = (v.to_bytes(length, "little") for v in (band, row, counted))
     top, seen = 0, set()
-    for s in _fields(band, size):
-        key = sums[s * size:s * size + size], digits[s * size:s * size + size]
+    end = marks.find(0x80)  # the top byte of a marked field
+    while end >= 0:
+        key = sums[end + 1 - size:end + 1], digits[end + 1 - size:end + 1]
         if key not in seen:
             seen.add(key)
-            value = window(s, k)
+            value = window(end // size, k)
             if top < value:
-                top, start = value, s
+                top, start = value, end // size
+        end = marks.find(0x80, end + 1)
     return top, start
 
 
@@ -370,15 +397,6 @@ def _prefix_digits(words: list, logs: dict, size: int) -> int:
 def _leftmost(hit: int, width: int) -> int:
     """The field of the lowest guard bit set in ``hit``."""
     return (hit & -hit).bit_length() // width - 1
-
-
-def _fields(hit: int, size: int):
-    """The fields of ``size`` bytes whose guard bit is set in ``hit``, lowest first."""
-    guards = hit.to_bytes(hit.bit_length() // 8, "little")
-    end = guards.find(0x80)  # the top byte of a field
-    while end >= 0:
-        yield end // size
-        end = guards.find(0x80, end + 1)
 
 
 def _heaviest(row: int, hit: int, size: int) -> tuple[int, int]:

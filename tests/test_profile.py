@@ -453,8 +453,9 @@ def test_letters_the_word_leaves_out_do_not_size_the_fields(monkeypatch, weights
         (LONG_PRODUCT, 159),
         (sum_measure(Alphabet(("a", "b")), 1, 10**40), 64),
         (WeightMeasure(Alphabet(tuple("abc")), MonoidKind.NAT_PRODUCT, (2**64, 2**64 + 1, 3)), 160),
+        (WeightMeasure(Alphabet(tuple("abc")), MonoidKind.NAT_PRODUCT, (1000, 1001, 7)), 160),
     ],
-    ids=["short", "product", "product-below-the-log-view", "wide-fields", "shared-log"],
+    ids=["short", "product", "product-below-the-log-view", "wide-fields", "shared-log", "near-logs"],
 )
 def test_short_product_and_wide_words_keep_the_loops(monkeypatch, measure, n):
     calls = _calls(monkeypatch, "_packed_steps")
@@ -467,33 +468,38 @@ def test_short_product_and_wide_words_keep_the_loops(monkeypatch, measure, n):
 
 @pytest.mark.parametrize("weights", [(2, 3, 5, 7), (2, 4, 8)], ids=["primes", "powers"])
 def test_coarse_logs_leave_the_exact_products_to_the_certificate(monkeypatch, weights):
-    # With logs to a quarter unit, the band of many lengths holds windows of
-    # other letter counts, so the exact fallback runs; words of 4-letter
+    # With logs to 1/256 and the log view from 48 letters, the band of many
+    # lengths holds windows of other letter counts (log 5 + log 5 lies within
+    # 96 of log 3 + log 7), so the exact fallback runs; words of 4-letter
     # periods put the windows at M far apart, so the count digits run too.
-    monkeypatch.setattr(monoid, "LOG_BITS", 2)
+    monkeypatch.setattr(monoid, "LOG_BITS", 8)
+    monkeypatch.setattr(profile, "_LOG_MIN_LETTERS", 48)
     packed = _calls(monkeypatch, "_packed_steps")
     digits = _calls(monkeypatch, "_prefix_digits")
     fallbacks = _calls(monkeypatch, "_exact_max")
     comb = payload_combine(MonoidKind.NAT_PRODUCT)
     rng = random.Random(17)
-    for n in (160, 200, 248):
+    for n in (48, 56, 60):
         word = [rng.randrange(len(weights)) for _ in range(n)]
         for indices in (word, sorted(word, key=weights.__getitem__, reverse=True), (0, 2, 1, 1) * (n // 4)):
             best, starts = _both_kernels(MonoidKind.NAT_PRODUCT, weights, tuple(indices))
             steps = list(factor_max_steps(weights, indices, comb))
             assert steps == list(zip(best[1:], starts[1:]))
-    assert len(packed) == 18 and digits and len(fallbacks) > 100
+    assert len(packed) == 18 and digits and len(fallbacks) > 10
 
 
 def test_windows_of_one_log_sum_and_other_letter_counts_are_told_apart(monkeypatch):
-    # To a sixteenth unit, log 3 + log 5 and log 4 + log 4 both round to 62,
-    # yet 3 * 5 < 4 * 4: the windows 35, 53 and 44 all sit at the packed
-    # maximum of length 2, alone in the band, and only their counts differ.
-    monkeypatch.setattr(monoid, "LOG_BITS", 4)
+    # log 2 + log 26221 and log 229 + log 229 share their log sum, yet
+    # 229 * 229 < 2 * 26221: the windows 229 229, 2 26221 and 26221 2 all sit
+    # at the packed maximum of length 2, alone in the band, and only their
+    # letter counts differ.
     digits = _calls(monkeypatch, "_prefix_digits")
-    indices = (0, 2, 0, 1, 1) * 32  # (3 5 3 4 4)^32
-    best, starts = _both_kernels(MonoidKind.NAT_PRODUCT, (3, 4, 5), indices)
-    assert (best[2], starts[2]) == (16, 3)
+    weights = (2, 229, 26221)
+    logs, _ = monoid.log_view(weights)
+    assert logs[2] + logs[26221] == 2 * logs[229]
+    indices = (1, 1, 0, 2, 0) * 32
+    best, starts = _both_kernels(MonoidKind.NAT_PRODUCT, weights, indices)
+    assert (best[2], starts[2]) == (2 * 26221, 2)
     assert digits
 
 
