@@ -126,9 +126,10 @@ def log_view(weights) -> tuple[dict, int]:
     ints.  L is the floor of T, taken from a float lowered by a bound on
     its error.  Where T lies within that bound of an integer (a power of
     two, or 2^64 + 1, whose float is 2^64) the floor is uncertain and L may
-    be one less.  ``slack`` is the largest gap T - L may reach, rounded up:
-    1 when every floor is certain, else 2.  A window of k letters therefore
-    sums to less than ``slack`` * k below its T, and never above it.
+    be one less.  ``slack`` bounds T - L from above: 1 when every floor is
+    certain, else 2 (more only for weights of over 2^28 bits, whose float
+    error reaches half a unit).  A window of k letters therefore sums to
+    less than ``slack`` * k below its T, and never above it.
     """
     scale = 1 << LOG_BITS
     logs, slack = {}, 1
