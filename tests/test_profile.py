@@ -333,7 +333,11 @@ _VEC_TOPS = ((3, 0), (1, 1), (3, 30), (2**30, 2**10))
 # different letter counts (2 * 8 == 4 * 4), and their logs are integers; the
 # float of 2^64 + 1 is 2^64, so its log is too.  Both put a float's floor in
 # doubt.  10^40 adds far more to a window's log than the small weights.
-_PRODUCT_WEIGHTS = ((2, 3, 5, 7), (2, 4, 8), (10**40, 3, 7), (2**64 + 1, 2, 5))
+# log 2 + log 26221 == 2 log 229 at b = 16, though 2 * 26221 > 229^2; and
+# 12^3 == 8^2 * 27, though the logs of 8 and 12 are not exact.
+_PRODUCT_WEIGHTS = (
+    (2, 3, 5, 7), (2, 4, 8), (10**40, 3, 7), (2**64 + 1, 2, 5), (2, 229, 26221), (8, 12, 27)
+)
 
 
 def _near(top):
@@ -501,6 +505,23 @@ def test_windows_of_one_log_sum_and_other_letter_counts_are_told_apart(monkeypat
     best, starts = _both_kernels(MonoidKind.NAT_PRODUCT, weights, indices)
     assert (best[2], starts[2]) == (2 * 26221, 2)
     assert digits
+
+
+@pytest.mark.parametrize("weights", [(2, 229, 26221), (8, 12, 27)], ids=["one-log-sum", "tied-products"])
+def test_random_words_of_tied_logs_keep_their_exact_maxima_and_starts(weights):
+    # Random words of 160-300 letters take the log view.  Over (2, 229, 26221)
+    # the windows at M of many lengths hold other letter counts, so the count
+    # digits must be those of each window itself.  Over (8, 12, 27),
+    # 12^3 = 8^2 * 27 ties across letter counts whose logs are not exact, so
+    # a band whose windows do not all sit at M leaves the exact fallback to
+    # find the leftmost start.
+    comb = payload_combine(MonoidKind.NAT_PRODUCT)
+    rng = random.Random(18)
+    for _ in range(30):
+        indices = tuple(rng.randrange(3) for _ in range(rng.randrange(160, 301)))
+        best, starts = _both_kernels(MonoidKind.NAT_PRODUCT, weights, indices)
+        steps = list(factor_max_steps(weights, indices, comb))
+        assert steps == list(zip(best[1:], starts[1:]))
 
 
 def test_gap_steps_of_a_long_vec2_word_agree_with_the_start_major_profile(monkeypatch):
