@@ -50,37 +50,32 @@ def _print_words(words) -> None:
 def _cmd_classify(args) -> int:
     measure = _load(args)
     flags = classify(measure)
-    yn = {True: "yes", False: "no"}
+    step, gap = flags.stepped, flags.gap_witness
+
+    def flag(key, value):
+        return key, str(value).lower(), "yes" if value else "no"
+
+    # (key, lines value, text value); the text spells the key with spaces.
+    rows = [
+        flag("injective", flags.injective),
+        flag("alphabetically-ordered", flags.alphabetically_ordered),
+        flag("binary", flags.binary),
+        flag("unary", flags.unary),
+        flag("prime", flags.prime),
+        ("stepped", "none", "no") if step is None else ("stepped", str(step), f"yes (step {step})"),
+        flag("gapfree", flags.gapfree),
+    ]
+    if gap is not None:
+        rows.append(("gap-witness", f"{gap.word} {gap.index}", f"{gap.word} at index {gap.index}"))
     if args.format == "lines":
-        rows = [
-            ("injective", str(flags.injective).lower()),
-            ("alphabetically-ordered", str(flags.alphabetically_ordered).lower()),
-            ("binary", str(flags.binary).lower()),
-            ("unary", str(flags.unary).lower()),
-            ("prime", str(flags.prime).lower()),
-            ("stepped", str(flags.stepped) if flags.stepped is not None else "none"),
-            ("gapfree", str(flags.gapfree).lower()),
-        ]
-        if flags.gap_witness is not None:
-            rows.append(("gap-witness", f"{flags.gap_witness.word} {flags.gap_witness.index}"))
-        for key, value in rows:
+        for key, value, _ in rows:
             print(f"{key} {value}")
         return EXIT_OK
     print(f"letters: {' '.join(measure.alphabet.letters)}")
     print(f"monoid: {measure.kind.value}")
     print(f"base weights: {format_weights(measure)}")
-    print(f"injective: {yn[flags.injective]}")
-    print(f"alphabetically ordered: {yn[flags.alphabetically_ordered]}")
-    print(f"binary: {yn[flags.binary]}")
-    print(f"unary: {yn[flags.unary]}")
-    print(f"prime: {yn[flags.prime]}")
-    if flags.stepped is not None:
-        print(f"stepped: yes (step {flags.stepped})")
-    else:
-        print("stepped: no")
-    print(f"gapfree: {yn[flags.gapfree]}")
-    if flags.gap_witness is not None:
-        print(f"gap witness: {flags.gap_witness.word} at index {flags.gap_witness.index}")
+    for key, _, value in rows:
+        print(f"{key.replace('-', ' ')}: {value}")
     return EXIT_OK
 
 

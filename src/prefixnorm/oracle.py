@@ -737,11 +737,11 @@ def _check_binary_reduction(measure: WeightMeasure, max_len: int) -> tuple[int, 
             cases += 1
             f, _ = factor_max_payloads(ws, bits, ident, comb)
             weighted = prefix_payloads(ws, bits, ident, comb) == f
-            classic = is_prefix_normal_classic(bits)
+            windows = classic_max_ones(bits)
+            classic = windows == classic_prefix_ones(bits)  # is_prefix_normal_classic(bits)
             if weighted != classic:
                 word = Word(measure.alphabet, bits)
                 problems.append(f"word {word} | weighted={weighted} classic={classic}")
-            windows = classic_max_ones(bits)
             if any(f[i] - i != windows[i] for i in range(length + 1)):
                 word = Word(measure.alphabet, bits)
                 problems.append(f"word {word} | weighted maxima minus length offset differ")

@@ -228,16 +228,24 @@ def _packed_steps(letters: list, size: int, exact=None):
     certified and decoded before it is yielded.  Every window of the
     greatest product sums to less than ``slack`` * k below its scaled log,
     which is at least the largest log sum M: so it lies in the band of
-    windows above M - ``slack`` * k, one more test.  When the band holds
-    one window, that window is the answer.  When every window of the band
-    sits at M with the same letter counts, so the same product, their
-    leftmost is.  They do when they form one run, as neighbours at M
-    trade two letters of one log, and so of one weight (``_route`` admits
-    no two weights of one log); when no two multisets of k logs share a
-    sum (tried while there are few); or when the packed count digits of
-    ``_prefix_digits`` agree, one more test.  Otherwise ``_exact_max``
-    compares exact products.  The maximum is decoded with
-    ``monoid.window_products``.
+    windows above M - ``slack`` * k, one more test.  ``certify`` then runs,
+    in order of cost:
+
+    1. The band, masked to the real windows once.  When it holds one
+       window, at the leftmost start, that window is the answer.
+    2. When every window of the band sits at M with the same letter
+       counts, so the same product, their leftmost is.  They do when they
+       form one run, as neighbours at M trade two letters of one log, and
+       so of one weight (``_route`` admits no two weights of one log); or
+       when no two multisets of k logs share a sum (tried while there are
+       few).
+    3. The count row: field s the count digits of the window at s, from
+       the packed prefix digits of ``_prefix_digits``, built once.  When
+       every window of the band sits at M and their digits agree, their
+       leftmost is the answer; otherwise ``_exact_max`` compares exact
+       products, one per distinct log sum and count digits of that row.
+
+    The maximum is decoded with ``monoid.window_products``.
     """
     width = 8 * size
     guard = 1 << (width - 1)  # the guard bit of field 0
@@ -294,40 +302,37 @@ def _packed_steps(letters: list, size: int, exact=None):
 
     def certify(k, start):
         # (the exact maximum of the windows of k letters, its leftmost start)
+        nonlocal digits, distinct, level
+        real = width * (n + 1 - k)  # the bits of the fields of real windows
         band = (row + (slack * k - 1) * ones) & guards
-        if band.bit_length() > width * (n + 1 - k):  # shorter suffixes
-            band &= (1 << width * (n + 1 - k)) - 1
-        if band == guard << width * start or row & band == band and alike(k, start, band):
+        if band.bit_length() > real:  # shorter suffixes
+            band &= (1 << real) - 1
+        if band == guard << width * start:
             return window(start, k), start
-        counted = count_digits(k) & (1 << width * (n + 1 - k)) - 1
-        return _exact_max(band, row, counted, size, k, window)
-
-    def alike(k, start, at):
-        # Whether the windows of k letters that ``at`` marks, all at M, hold the same letter counts.
-        nonlocal distinct, level
-        end = at.bit_length() // width  # past the last one
-        if at == guards >> width * (n - end + start) << width * start:
-            return True  # one run: neighbours at M trade letters of one log, so of one weight
-        while distinct < k and level:
-            grown = {total + log for total in level for log in up}
-            if len(grown) < math.comb(len(up) + distinct, distinct + 1):
-                level = None  # two multisets of distinct + 1 logs share a sum
-            else:
-                distinct += 1
-                # Grow it while that costs less than the digits.
-                level = grown if len(grown) * len(up) <= n else None
-        if k <= distinct:
-            return True  # no other multiset of k logs sums to M
-        counted = count_digits(k)
-        first = (counted >> width * start) & low
-        return not (counted ^ first * ones) & (at >> width - 1) * low
-
-    def count_digits(k):
-        # Field s: the count digits of the window of k letters at s (past n - k, garbage).
-        nonlocal digits
+        at_max = row & band == band  # every window of the band sits at M
+        if at_max:
+            # One run: neighbours at M trade letters of one log, so of one weight.
+            end = band.bit_length() // width  # past the last one
+            if band == guards >> width * (n - end + start) << width * start:
+                return window(start, k), start
+            while distinct < k and level:
+                grown = {total + log for total in level for log in up}
+                if len(grown) < math.comb(len(up) + distinct, distinct + 1):
+                    level = None  # two multisets of distinct + 1 logs share a sum
+                else:
+                    distinct += 1
+                    # Grow it while that costs less than the digits.
+                    level = grown if len(grown) * len(up) <= n else None
+            if k <= distinct:
+                return window(start, k), start  # no other multiset of k logs sums to M
         if digits is None:
             digits = _prefix_digits(letters, logs, size)
-        return (digits >> width * k) - digits
+        # Field s: the count digits of the window of k letters at s.
+        counted = (digits >> width * k) - digits & (1 << real) - 1
+        first = counted >> width * start & low
+        if at_max and not (counted ^ first * ones) & (band >> width - 1) * low:
+            return window(start, k), start
+        return _exact_max(band, row, counted, size, k, window)
 
     for k in range(n):
         row += packed >> width * k

@@ -458,9 +458,10 @@ def test_equivalence_reports_are_replayable_on_forced_failure(monkeypatch):
 
 
 def test_binary_reduction_reports_are_replayable_on_forced_failure(monkeypatch):
-    # A classic predicate that never holds fails every weighted prefix-normal
-    # word and every length's count; each line starts with the measure.
-    monkeypatch.setattr(oracle, "is_prefix_normal_classic", lambda bits: False)
+    # Prefix ones that match no window maxima make the classic predicate
+    # fail every weighted prefix-normal word and every length's count; each
+    # line starts with the measure.
+    monkeypatch.setattr(oracle, "classic_prefix_ones", lambda bits: None)
     report = run_suite("binary-reduction", max_len=2)
     head = "measure[nat-sum; letters 0 1; weights 1 2] | "
     assert report.cases == 6
@@ -476,3 +477,19 @@ def test_binary_reduction_reports_are_replayable_on_forced_failure(monkeypatch):
             "length 2 | counts disagree: op=3 classic=0 weighted=3",
         )
     )
+
+
+def test_binary_reduction_scans_each_word_once(monkeypatch):
+    # The classic predicate reads the same window maxima that the offset
+    # identity compares, so each word's windows are scanned once.
+    scanned = []
+    real = oracle.classic_max_ones
+
+    def counting(bits):
+        scanned.append(bits)
+        return real(bits)
+
+    monkeypatch.setattr(oracle, "classic_max_ones", counting)
+    report = run_suite("binary-reduction", max_len=6)
+    assert report.passed and report.cases == 126
+    assert len(scanned) == report.cases
