@@ -329,10 +329,9 @@ def _packed_steps(letters: list, size: int, exact=None):
             digits = _prefix_digits(letters, logs, size)
         # Field s: the count digits of the window of k letters at s (past n - k, garbage).
         counted = (digits >> width * k) - digits
-        if at_max:
-            first = counted >> width * start & low
-            if not (counted ^ first * ones) & (band >> width - 1) * low:
-                return window(start, k), start
+        first = counted >> width * start & low
+        if at_max and not (counted ^ first * ones) & (band >> width - 1) * low:
+            return window(start, k), start
         return _exact_max(band, row, counted & (1 << real) - 1, size, k, window)
 
     for k in range(n):
