@@ -267,14 +267,28 @@ def test_verify_names_a_seed_variable_that_is_no_integer(capsys, monkeypatch):
     assert captured.err == "error: PREFIXNORM_SEED must be an integer, got 'abc'\n"
 
 
-def test_missing_measure_file_is_usage_error(capsys, tmp_path):
-    code = main(["classify", str(tmp_path / "absent.measure")])
+# Every command that reads a measure, with the arguments that follow it.
+MEASURE_COMMANDS = {
+    "classify": [],
+    "weights": ["ab"],
+    "pnf": ["ab"],
+    "class": ["ab"],
+    "pnset": ["ab"],
+    "count-pn": ["2"],
+}
+
+
+@pytest.mark.parametrize("command", MEASURE_COMMANDS)
+def test_missing_measure_file_is_usage_error(capsys, tmp_path, command):
+    code = main([command, str(tmp_path / "absent.measure"), *MEASURE_COMMANDS[command]])
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_measure_file_reports_line(capsys, spec):
-    code = main(["classify", spec("monoid = nat-sum\nletters = a b\nweights = 1 x\n")])
+@pytest.mark.parametrize("command", MEASURE_COMMANDS)
+def test_bad_measure_file_reports_line(capsys, spec, command):
+    bad = spec("monoid = nat-sum\nletters = a b\nweights = 1 x\n")
+    code = main([command, bad, *MEASURE_COMMANDS[command]])
     assert code == 2
     assert "line 3" in capsys.readouterr().err
 
@@ -287,8 +301,9 @@ def test_weight_at_the_identity_is_usage_error(capsys, spec):
     assert "must exceed the identity" in captured.err
 
 
-def test_word_with_foreign_letter_is_usage_error(capsys, spec):
-    code = main(["weights", spec(NANABA), "bananaz"])
+@pytest.mark.parametrize("command", ["weights", "pnf", "class", "pnset"])
+def test_word_with_foreign_letter_is_usage_error(capsys, spec, command):
+    code = main([command, spec(NANABA), "bananaz"])
     assert code == 2
     assert "not in alphabet" in capsys.readouterr().err
 

@@ -572,6 +572,11 @@ def test_every_accepted_measure_round_trips_through_its_spec(tokens, kind, data)
         ("letters = a b\nweights = 1 2\n", None, "missing 'monoid'"),
         ("monoid = nat-sum\nletters = a b\nno equals sign\n", 3, "key = value"),
         ("monoid = nat-sum\nletters = a b\nweights =\n", 3, "empty value for 'weights'"),
+        # Keys out of order: each error still names the line of its own entry.
+        ("weights = 1 x\nmonoid = nat-sum\nletters = a b\n", 1, "decimal integer"),
+        ("weights = 1 1\nmonoid = nat-sum\nletters = a a\n", 3, "duplicate letter"),
+        ("letters = a\nweights = 1\nmonoid = maybe\n", 3, "unknown monoid"),
+        ("monoid = nat-sum\nweights = 1 2\nletters = a b c\n", 2, "3 letters but 2 weights"),
     ],
 )
 def test_parse_measure_text_errors(text, line, fragment):
