@@ -34,21 +34,7 @@ EXIT_USAGE = 2
 SEED_ENV_VAR = "PREFIXNORM_SEED"
 
 
-def _load(args):
-    return load_measure(args.measure)
-
-
-def _word(measure, text: str) -> Word:
-    return Word.parse(measure.alphabet, text)
-
-
-def _print_words(words) -> None:
-    for word in sorted(words, key=lambda w: w.indices):
-        print(word)
-
-
-def _cmd_classify(args) -> int:
-    measure = _load(args)
+def _cmd_classify(args, measure) -> int:
     flags = classify(measure)
     step, gap = flags.stepped, flags.gap_witness
 
@@ -79,9 +65,7 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_weights(args) -> int:
-    measure = _load(args)
-    word = _word(measure, args.word)
+def _cmd_weights(args, measure, word) -> int:
     profile = weight_profile(measure, word)
     header = [str(i) for i in range(1, len(word) + 1)]
     p_row = [str(v) for v in profile.prefix[1:]]
@@ -104,9 +88,7 @@ def _parikh_text(word) -> str:
     )
 
 
-def _cmd_pnf(args) -> int:
-    measure = _load(args)
-    word = _word(measure, args.word)
+def _cmd_pnf(args, measure, word) -> int:
     result = prefix_normal_form(measure, word)
     if isinstance(result, UniqueNormalForm):
         if args.format == "lines":
@@ -133,17 +115,9 @@ def _cmd_pnf(args) -> int:
     return EXIT_OK
 
 
-def _cmd_class(args) -> int:
-    measure = _load(args)
-    word = _word(measure, args.word)
-    _print_words(equivalence_class(measure, word, limit=args.limit))
-    return EXIT_OK
-
-
-def _cmd_pnset(args) -> int:
-    measure = _load(args)
-    word = _word(measure, args.word)
-    _print_words(prefix_normal_set(measure, word, limit=args.limit))
+def _cmd_members(args, measure, word) -> int:
+    for member in sorted(args.members(measure, word, limit=args.limit), key=lambda w: w.indices):
+        print(member)
     return EXIT_OK
 
 
@@ -160,8 +134,8 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
-def _cmd_count_pn(args) -> int:
-    print(count_prefix_normal_words(_load(args), args.n))
+def _cmd_count_pn(args, measure) -> int:
+    print(count_prefix_normal_words(measure, args.n))
     return EXIT_OK
 
 
@@ -224,13 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure")
     p.add_argument("word")
     p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
-    p.set_defaults(func=_cmd_class)
+    p.set_defaults(func=_cmd_members, members=equivalence_class)
 
     p = sub.add_parser("pnset", help="all prefix-normal words in the word's class")
     p.add_argument("measure")
     p.add_argument("word")
     p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
-    p.set_defaults(func=_cmd_pnset)
+    p.set_defaults(func=_cmd_members, members=prefix_normal_set)
 
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("suite", help=f"one of: {', '.join(suite_names())}")
@@ -257,7 +231,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with _any_int_digits():
-            return args.func(args)
+            # The parser's declarations say which command reads which input.
+            inputs = {}
+            if "measure" in args:
+                inputs["measure"] = load_measure(args.measure)
+            if "word" in args:
+                inputs["word"] = Word.parse(inputs["measure"].alphabet, args.word)
+            return args.func(args, **inputs)
     except (OutOfRange, CapacityExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -512,29 +512,21 @@ def parse_measure_text(text: str) -> WeightMeasure:
         if key not in entries:
             raise MeasureSpecError(f"missing {key!r} line")
 
-    kind_line, kind_name = entries["monoid"]
-    try:
-        kind = MonoidKind.from_name(kind_name)
-    except ValueError as err:
-        raise MeasureSpecError(str(err), line=kind_line) from None
-
-    letters_line, letters_value = entries["letters"]
-    try:
-        alphabet = Alphabet(tuple(letters_value.split()))
-    except ValueError as err:
-        raise MeasureSpecError(str(err), line=letters_line) from None
-
-    weights_line, weights_value = entries["weights"]
-    payloads = []
-    for token in weights_value.split():
+    def read(key, parse):
+        line, value = entries[key]
         try:
-            payloads.append(parse_payload(kind, token))
+            return parse(value)
         except ValueError as err:
-            raise MeasureSpecError(str(err), line=weights_line) from None
+            raise MeasureSpecError(str(err), line=line) from None
+
+    kind = read("monoid", MonoidKind.from_name)
+    alphabet = read("letters", lambda value: Alphabet(tuple(value.split())))
+    payloads = read("weights", lambda value: [parse_payload(kind, w) for w in value.split()])
     if len(payloads) != len(alphabet):
         raise MeasureSpecError(
-            f"{len(alphabet)} letters but {len(payloads)} weights", line=weights_line
+            f"{len(alphabet)} letters but {len(payloads)} weights", line=entries["weights"][0]
         )
+    # Outside ``read``, so an IncreasingPropertyViolation passes through without a line.
     return WeightMeasure(alphabet, kind, payloads)
 
 
