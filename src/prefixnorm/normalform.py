@@ -242,8 +242,11 @@ def count_prefix_normal_words(measure: WeightMeasure, n: int) -> int:
     Walks the prefix-normal words of the projected alphabet Σ′ and adds up
     how many source words each one stands for (the product of its class
     sizes).  The walk refuses when the |Σ′|^n candidate words exceed
-    ``DEFAULT_LIMIT``, pruned or not.
+    ``DEFAULT_LIMIT``, pruned or not.  When every letter weighs the same,
+    every word is prefix normal, so the count is |Σ|^n without a walk.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if len(measure.projected.classes) == 1:
+        return len(measure.alphabet) ** n
     return _expansion(measure, walk_words(measure, n))

@@ -246,11 +246,16 @@ def test_one_weight_measures_yield_their_one_projected_word_without_a_walk(monke
     def no_walk(*args):
         raise AssertionError("the walk ran")
 
+    measure = sum_measure(Alphabet(("a", "b")), 1, 1)
+    one_letter = sum_measure(Alphabet(("a",)), 5)
+    # A one-class count is a power: it never builds the projected word.
+    with monkeypatch.context() as patch:
+        patch.setattr(normalform, "walk_words", no_walk)
+        assert count_prefix_normal_words(measure, 20000) == 2**20000
+        assert count_prefix_normal_words(one_letter, 300) == 1
+        assert count_prefix_normal_words(one_letter, 10**6) == 1
     # The walk starts with the int view of the projected weights.
     monkeypatch.setattr(normalform, "int_view", no_walk)
-    measure = sum_measure(Alphabet(("a", "b")), 1, 1)
-    assert count_prefix_normal_words(measure, 20000) == 2**20000
-    assert count_prefix_normal_words(sum_measure(Alphabet(("a",)), 5), 300) == 1
     every = {Word(measure.alphabet, c) for c in itertools.product(range(2), repeat=5)}
     assert equivalence_class(measure, Word(measure.alphabet, (0, 1, 1, 0, 1))) == every
     with pytest.raises(CapacityExceeded) as info:
