@@ -100,6 +100,38 @@ def test_first_at_least_on_banana():
         profile.first_at_least(value(11))
 
 
+_QUERY_WEIGHTS = {
+    MonoidKind.NAT_SUM: lambda rng: rng.randint(1, 9),
+    MonoidKind.NAT_PRODUCT: lambda rng: rng.randint(2, 9),
+    MonoidKind.VEC2_LEX: lambda rng: (rng.randint(0, 3), rng.choice((1, 2, 1000))),
+}
+
+
+@pytest.mark.parametrize("kind", list(MonoidKind), ids=lambda kind: kind.value)
+def test_position_queries_match_a_linear_scan(kind):
+    # Bounds: every prefix weight, every factor maximum, and one value
+    # above the total, which no prefix reaches.
+    rng = random.Random(2005)
+    for _ in range(150):
+        weights = [_QUERY_WEIGHTS[kind](rng) for _ in range(rng.randint(1, 4))]
+        measure = WeightMeasure(Alphabet(tuple("abcd"[: len(weights)])), kind, weights)
+        word = _random_word(measure, rng.randint(0, 60), rng.randrange(2**31))
+        profile = weight_profile(measure, word)
+        p = payloads(profile.prefix)
+        above = measure.combine(p[-1], max(weights))
+        for bound in {*p, *payloads(profile.factor_max), above}:
+            query = MonoidValue(kind, bound)
+            assert profile.last_at_most(query) == max(k for k, x in enumerate(p) if x <= bound)
+            reached = [k for k, x in enumerate(p) if x >= bound]
+            if reached:
+                assert profile.first_at_least(query) == reached[0]
+            else:
+                assert bound == above
+                with pytest.raises(OutOfRange):
+                    profile.first_at_least(query)
+        assert profile.last_at_most(MonoidValue(kind, above)) == len(word)
+
+
 def test_position_queries_reject_foreign_kinds():
     profile = weight_profile(MU, w(ANB, "banana"))
     with pytest.raises(ValueError, match="nat-sum"):
