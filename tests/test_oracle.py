@@ -26,6 +26,7 @@ from prefixnorm import (
     corpus_measures,
     count_binary_prefix_normal,
     count_prefix_normal,
+    count_prefix_normal_words,
     equivalence_class,
     find_gap,
     gap_indexes,
@@ -37,6 +38,7 @@ from prefixnorm import (
 )
 from prefixnorm import oracle
 from prefixnorm.oracle import classic_max_ones, classic_prefix_ones, is_prefix_normal_classic
+from prefixnorm.profile import prefix_payloads
 
 
 def test_brute_gap_search_returns_first_gap_in_scan_order():
@@ -105,10 +107,12 @@ def test_brute_set_agrees_with_fast_path_on_random_words():
         # for one letter instead of the word's length misjudges the class of bbbc.
         (vec_measure(ABC, (0, 1), (0, 2), (1, 0)), 5),
         (sum_measure(ANCB, 1, 3, 3, 4), 4),
+        # Weights past 2^64: a product of five letters needs over 320 bits.
+        (product_measure(ABC, 2**64 + 1, 2**65 + 3, 2**66 - 1), 5),
     ],
     ids=[
         "sum-123", "sum-122", "product-235", "product-2-6-18", "vec-lex", "vec-tied",
-        "vec-second-heavy", "sum-1334",
+        "vec-second-heavy", "sum-1334", "product-past-2-64",
     ],
 )
 def test_equivalence_class_matches_brute_force_on_all_short_words(measure, max_len):
@@ -155,6 +159,38 @@ def measures_and_words(draw, tied: bool):
 def test_equivalence_class_matches_brute_force_on_random_measures(tied, data):
     measure, word = data.draw(measures_and_words(tied))
     assert equivalence_class(measure, word) == brute_equivalence_class(measure, word)
+
+
+_PN_PAYLOADS = {
+    MonoidKind.NAT_SUM: st.integers(1, 6),
+    # Up to 2^70, so products of a few letters run past 64 bits.
+    MonoidKind.NAT_PRODUCT: st.integers(2, 12) | st.integers(2, 2**70),
+    MonoidKind.VEC2_LEX: st.tuples(
+        st.integers(0, 3), st.integers(0, 2) | st.integers(0, 1000)
+    ).filter(any),
+}
+
+
+@st.composite
+def measures_and_lengths(draw):
+    kind = draw(st.sampled_from(MonoidKind))
+    size = draw(st.integers(2, 3))
+    payloads = draw(st.lists(_PN_PAYLOADS[kind], min_size=size, max_size=size))
+    if draw(st.booleans()):
+        first, second = draw(st.permutations(range(size)))[:2]
+        payloads[first] = payloads[second]
+    alphabet = Alphabet(tuple("abc"[:size]))
+    return WeightMeasure(alphabet, kind, payloads), draw(st.integers(0, 6))
+
+
+@given(case=measures_and_lengths())
+def test_count_prefix_normal_words_matches_the_definitional_scan(case):
+    measure, n = case
+    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    assert count_prefix_normal_words(measure, n) == sum(
+        prefix_payloads(ws, indices, ident, comb) == f
+        for indices, f in oracle._scan(measure, range(n, n + 1))
+    )
 
 
 @pytest.mark.parametrize(
