@@ -172,6 +172,23 @@ def test_equivalence_class_walk_refuses_before_the_kernel(monkeypatch):
         equivalence_class(measure, Word(measure.alphabet, (0, 1) * 2000))
 
 
+@pytest.mark.parametrize(
+    "length, text, message",
+    [(3, "abcab", "5 letters, not 3"), (5, "abc", "3 letters, not 5"), (-1, None, "nonnegative")],
+    ids=["longer-word", "shorter-word", "negative"],
+)
+def test_walk_words_refuses_a_length_it_cannot_serve(monkeypatch, length, text, message):
+    def no_kernel(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(normalform, "int_view", no_kernel)
+    monkeypatch.setattr(normalform, "_factor_max_ints", no_kernel)
+    measure = standard_measure(ABC)
+    word = None if text is None else w(ABC, text)
+    with pytest.raises(ValueError, match=message):
+        next(normalform.walk_words(measure, length, word))
+
+
 def test_the_walk_compares_exact_products_where_the_profile_takes_the_log_view(monkeypatch):
     # a^47 b under (2, 3): every word with one b shares its factor maxima
     # 3 * 2^(k-1).  With the log view from 48 letters, the profile route
