@@ -242,11 +242,11 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
     class_of = measure.projected.class_of
     target, _ = _factor_max_ints([ws[class_of[i]] for i in word.indices], ident, comb)
     packed = sum(t << width * k for k, t in enumerate(target))
-    whole, every = target[length], guards[length + 1]
+    whole = target[length]
     # Per i: target[i] in every field (nat-product multiplies by it); the
     # guards less the target are added after the combine.
     ends = [t if product_view else t * ones[length + 1] for t in target]
-    offset = every - packed
+    offset = guards[length + 1] - packed
     # Per depth: the children's steps, the letters still to come after a
     # child, the target of that many letters and of the child's, the guards
     # and the ones of fields 0..depth+1, and the guards of lengths
@@ -256,8 +256,9 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
         left = length - depth - 1
         mask = guards[depth + 2]
         due_mask = mask & ~guards[left + 1]
-        reach = (target[left], target[depth + 1])
-        levels.append((steps[depth], left, *reach, mask, ones[depth + 2], due_mask))
+        levels.append(
+            (steps[depth], left, target[left], target[depth + 1], mask, ones[depth + 2], due_mask)
+        )
     # Per node: its letters, its suffixes, the guards of the lengths some
     # factor of it attains, and its weight.
     stack = [((), ident, guards[1], ident)]
