@@ -90,28 +90,18 @@ def _parikh_text(word) -> str:
 
 def _cmd_pnf(args, measure, word) -> int:
     result = prefix_normal_form(measure, word)
+    parikh_in = f"parikh in : {_parikh_text(word)}"
     if isinstance(result, UniqueNormalForm):
-        if args.format == "lines":
-            print(f"unique {result.word}")
-        else:
-            print(f"prefix normal form: {result.word}")
-            print(f"parikh in : {_parikh_text(word)}")
-            print(f"parikh out: {_parikh_text(result.word)}")
+        lines = f"unique {result.word}"
+        text = [f"prefix normal form: {result.word}", parikh_in, f"parikh out: {_parikh_text(result.word)}"]
     elif isinstance(result, MultipleNormalForms):
-        if args.format == "lines":
-            print(f"multiple {result.projected} {result.count}")
-        else:
-            print(f"projected prefix normal form: {result.projected}")
-            print(f"count: {result.count}")
-            print(f"parikh in : {_parikh_text(word)}")
+        lines = f"multiple {result.projected} {result.count}"
+        text = [f"projected prefix normal form: {result.projected}", f"count: {result.count}", parikh_in]
     else:
         assert isinstance(result, NoNormalForm)
-        if args.format == "lines":
-            print(f"gap {result.gap_word} {result.gap_index}")
-        else:
-            print(
-                f"no prefix normal form: gap at index {result.gap_index} of {result.gap_word}"
-            )
+        lines = f"gap {result.gap_word} {result.gap_index}"
+        text = [f"no prefix normal form: gap at index {result.gap_index} of {result.gap_word}"]
+    print(lines if args.format == "lines" else "\n".join(text))
     return EXIT_OK
 
 
@@ -134,13 +124,8 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
-def _cmd_count_pn(args, measure) -> int:
-    print(count_prefix_normal_words(measure, args.n))
-    return EXIT_OK
-
-
-def _cmd_count_binary_pn(args) -> int:
-    print(count_binary_prefix_normal(args.n))
+def _cmd_count(args, **inputs) -> int:
+    print(args.counter(**inputs, n=args.n))
     return EXIT_OK
 
 
@@ -217,11 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count-pn", help="count prefix-normal words of length n under a measure")
     p.add_argument("measure")
     p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_count_pn)
+    p.set_defaults(func=_cmd_count, counter=count_prefix_normal_words)
 
     p = sub.add_parser("count-binary-pn", help="count binary prefix-normal words of length n")
     p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_count_binary_pn)
+    p.set_defaults(func=_cmd_count, counter=count_binary_prefix_normal)
 
     return parser
 

@@ -34,11 +34,16 @@ from .profile import gap_indexes
 
 @dataclass(frozen=True)
 class Alphabet:
-    """An ordered tuple of distinct letter tokens; tuple order is the letter order."""
+    """An ordered tuple of distinct letter tokens; tuple order is the letter order.
+
+    Any iterable of tokens is accepted and stored as a tuple, so equal
+    alphabets compare and hash alike however they were built.
+    """
 
     letters: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "letters", tuple(self.letters))
         if not self.letters:
             raise ValueError("alphabet must not be empty")
         seen = set()
@@ -88,12 +93,17 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Word:
-    """A finite sequence of letter indices over a fixed alphabet."""
+    """A finite sequence of letter indices over a fixed alphabet.
+
+    Any iterable of indices is accepted and stored as a tuple.
+    """
 
     alphabet: Alphabet
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.indices, tuple):
+            object.__setattr__(self, "indices", tuple(self.indices))
         size = len(self.alphabet)
         for i in self.indices:
             if not 0 <= i < size:

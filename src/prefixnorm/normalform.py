@@ -66,9 +66,8 @@ def prefix_normal_form(measure: WeightMeasure, word: Word) -> NormalFormResult:
             return NoNormalForm(gap_word=word, gap_index=i)
         picks.append(pick)
         previous = weight
-    if all(len(group) == 1 for group in projected.classes):
-        letters = tuple(projected.classes[c][0] for c in picks)
-        return UniqueNormalForm(Word(measure.alphabet, letters))
+    if len(projected.classes) == len(measure.alphabet):
+        return UniqueNormalForm(Word(measure.alphabet, tuple(picks)))
     return MultipleNormalForms(
         projected=Word(projected.measure.alphabet, tuple(picks)),
         count=_expansion(measure, [picks]),

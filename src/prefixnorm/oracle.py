@@ -8,6 +8,7 @@ kernel ``_running_factor_max``.  Every full scan of the |Σ|^n words of one
 length refuses up front, with ``CapacityExceeded``, when that count
 exceeds ``DEFAULT_LIMIT``: ``_scan`` when called, and the binary count and
 the binary-reduction sweep, whose own scans check the fast kernel.
+``_scan`` also refuses by its kernel cells, which bounds a one-letter scan.
 
 Every sweep is a deterministic stream of cases, each a tuple of
 measures, and a check ``check(*case) -> (cases, problems)``, both run by
@@ -97,6 +98,8 @@ class SweepReport:
         return f"SUITE {self.suite} CASES {self.cases} VIOLATIONS {len(self.violations)}"
 
     def render(self, fmt: str = "text") -> str:
+        if fmt not in ("text", "lines"):
+            raise ValueError(f"unknown report format {fmt!r}: expected text or lines")
         if fmt == "lines":
             return "\n".join([self.summary_line(), *self.violations])
         params = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
@@ -128,14 +131,34 @@ def _running_factor_max(letter_weights, indices, ident, comb):
     return best
 
 
+def _scan_cells(size: int, lengths: range) -> int:
+    """Kernel cells of a scan: n(n+1)/2 for each of the size^n words of each length n.
+
+    One letter has one word per length, and its sum over 1..n is the
+    tetrahedral number n(n+1)(n+2)/6, so a huge length costs nothing here.
+    """
+    if size == 1:
+        low, high = lengths[0] - 1, lengths[-1]
+        return (high * (high + 1) * (high + 2) - low * (low + 1) * (low + 2)) // 6
+    return sum(size**n * n * (n + 1) // 2 for n in lengths)
+
+
+# The cells of the largest scan the word count accepts (binary, lengths 1-16).
+_SCAN_CELL_LIMIT = _scan_cells(2, range(1, 17))
+
+
 def _scan(measure: WeightMeasure, lengths: range):
     """``(indices, factor maxima)`` of every word of the ascending ``lengths``, in order.
 
-    The call itself refuses when the last length has over ``DEFAULT_LIMIT`` words.
+    The call itself refuses when the last length has over ``DEFAULT_LIMIT``
+    words, and then when the scan's kernel cells exceed those of a binary
+    scan of lengths 1 to 16: a one-letter alphabet has one word per length,
+    yet each costs n(n+1)/2 combines.
     """
     size = len(measure.alphabet)
     if lengths:
         refuse_power(size, lengths[-1], "words")
+        refuse(_scan_cells(size, lengths), "kernel cells", _SCAN_CELL_LIMIT)
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     return (
         (indices, _running_factor_max(ws, indices, ident, comb))

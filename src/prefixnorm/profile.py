@@ -505,6 +505,19 @@ def is_prefix_normal(measure: "WeightMeasure", word: "Word") -> bool:
 
     That is, iff every length's leftmost maximising start is 0, so the
     steps stop at the first length where a later factor outweighs the prefix.
+
+    Powers of a word need only its square: for k ≥ 2, u^k is prefix normal
+    iff u·u is (the finite side of Cicalese, Lipták and Rossi, "On infinite
+    prefix normal words", SOFSEM 2019).  A prefix of a prefix-normal word is
+    prefix normal, so u^k passing implies u·u does.  Conversely, all three
+    carriers commute and keep their order under combining.  A factor of u^k
+    of length q·|u| + r holds q rotations of u, each weighing w(u), and a
+    cyclic window of u of r letters; the prefix of that length is q copies
+    of u and the prefix of u of r letters.  Every cyclic window of u is a
+    factor of u·u, so when u·u is prefix normal no window outweighs that
+    prefix of u, and combining both sides with w(u) q times keeps the
+    order.  Pinned by a hypothesis test over the three carriers; ultimately
+    periodic words v·u^ω are open.
     """
     measure.check_word(word)
     steps = factor_max_steps(measure.payloads, word.indices, measure.combine)

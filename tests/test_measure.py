@@ -59,6 +59,15 @@ def test_alphabet_rejects_bad_tokens():
         Alphabet(("#a", "b"))
 
 
+def test_alphabets_and_words_built_from_lists_equal_and_hash_like_tuples():
+    listed, tupled = Alphabet(["a", "b"]), Alphabet(("a", "b"))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.letters == ("a", "b")
+    word = Word(listed, [0, 1, 1])
+    assert word == Word(tupled, (0, 1, 1)) and hash(word) == hash(Word(tupled, (0, 1, 1)))
+    assert word.indices == (0, 1, 1)
+
+
 def test_word_parse_single_characters():
     word = w(ANB, "banana")
     assert word.tokens() == ("b", "a", "n", "a", "n", "a")

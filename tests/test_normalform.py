@@ -112,6 +112,14 @@ def test_equivalence_class_of_banana():
     ]
 
 
+def test_a_list_built_word_is_found_in_its_own_class():
+    alphabet = Alphabet(["a", "b", "c"])
+    measure = sum_measure(alphabet, 1, 2, 2)
+    word = Word(alphabet, [1, 0, 2, 0])
+    assert word in equivalence_class(measure, word)
+    assert equivalence_class(measure, word) == brute_equivalence_class(measure, word)
+
+
 def test_equivalence_class_of_xaxn_is_the_reversal_pair():
     assert words(equivalence_class(NU_ANX, w(ANX, "xaxn"))) == ["nxax", "xaxn"]
 

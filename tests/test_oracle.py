@@ -271,6 +271,36 @@ def test_word_scans_over_one_letter_are_never_refused():
     assert brute_equivalence_class(sum_measure(unary, 1), word) == {word}
 
 
+_UNARY = Alphabet(("a",))
+_UNARY_SUM = sum_measure(_UNARY, 1)
+_HUGE = 10**9
+
+
+@pytest.mark.parametrize(
+    "scan,count",
+    [
+        (lambda: brute_gap_search(_UNARY_SUM, 456), 456 * 457 * 458 // 6),
+        # Summed in closed form, so a huge length is refused at once.
+        (lambda: brute_gap_search(_UNARY_SUM, _HUGE), _HUGE * (_HUGE + 1) * (_HUGE + 2) // 6),
+        (lambda: brute_equivalence_class(_UNARY_SUM, Word(_UNARY, (0,) * 5632)), 5632 * 5633 // 2),
+    ],
+    ids=["gap-search", "gap-search-huge", "class"],
+)
+def test_one_letter_scans_are_refused_by_their_kernel_cells(scan, count):
+    # One word per length is never too many words, but each costs n(n+1)/2 combines.
+    with pytest.raises(CapacityExceeded, match="kernel cells exceed the limit of 15859710") as info:
+        scan()
+    assert info.value.count == count
+
+
+@pytest.mark.parametrize("size,longest", [(1, 455), (2, 16), (3, 10), (4, 8), (5, 7), (10, 5)])
+def test_the_kernel_cell_cap_accepts_the_largest_scans_the_word_cap_accepts(size, longest):
+    measure = standard_measure(Alphabet(tuple("abcdefghij"[:size])))
+    # Refused, if at all, by the call itself: the returned scan is never iterated.
+    oracle._scan(measure, range(1, longest + 1))
+    oracle._scan(measure, range(longest, longest + 1))
+
+
 def test_classic_oracle_direct_examples():
     bits = (1, 1, 0, 1, 0, 0, 1)
     assert classic_prefix_ones(bits) == [0, 1, 2, 2, 3, 3, 3, 4]
@@ -399,6 +429,12 @@ def test_report_rendering_formats():
     assert report.render("text") == text
     assert text.endswith("; max_len=6)")
     assert run_suite("prime-gapful", seed=1).render("text") == "prime-gapful: pass (56 cases)"
+
+
+@pytest.mark.parametrize("fmt", ["json", "LINES", ""])
+def test_report_rendering_refuses_an_unknown_format(fmt):
+    with pytest.raises(ValueError, match="expected text or lines"):
+        SweepReport("demo").render(fmt)
 
 
 def test_report_survives_pickle_and_deepcopy():

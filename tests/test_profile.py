@@ -269,6 +269,26 @@ def test_position_bound_matches_all_pairs_of_factor_weights(case):
     assert normality_conditions(measure, word)[3] == _position_bound_over_all_pairs(measure, word)
 
 
+@st.composite
+def _periodic_cases(draw):
+    # Half of the periods are sorted by descending weight, so more powers pass.
+    kind = draw(st.sampled_from(list(MonoidKind)))
+    weights = draw(st.lists(_CONDITION_WEIGHTS[kind], min_size=2, max_size=4))
+    measure = WeightMeasure(Alphabet(tuple("abcd"[: len(weights)])), kind, weights)
+    period = draw(st.lists(st.integers(0, len(weights) - 1), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        period.sort(key=lambda i: weights[i], reverse=True)
+    return measure, tuple(period)
+
+
+@given(_periodic_cases())
+def test_a_power_of_a_word_is_prefix_normal_iff_its_square_is(case):
+    measure, period = case
+    square = is_prefix_normal(measure, Word(measure.alphabet, period * 2))
+    for k in range(3, 7):
+        assert is_prefix_normal(measure, Word(measure.alphabet, period * k)) == square
+
+
 def test_prefix_normal_iff_profile_equality_on_exhaustive_small_words():
     measure = sum_measure(ANCB, 1, 2, 2, 3)
     for n in range(0, 4):
