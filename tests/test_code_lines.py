@@ -29,7 +29,7 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines():
 
 def test_code_lines_prints_every_module_and_their_total(capsys):
     tool = _load_tool()
-    assert tool.main([]) == 0
+    assert tool.main() == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     names = [name for _, name in rows]
     assert names[-1] == "total"

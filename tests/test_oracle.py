@@ -240,6 +240,11 @@ def test_count_binary_prefix_normal_bound():
         count_binary_prefix_normal(-1)
 
 
+_UNARY = Alphabet(("a",))
+_UNARY_SUM = sum_measure(_UNARY, 1)
+_HUGE = 10**9
+
+
 @pytest.mark.parametrize(
     "scan,count",
     [
@@ -254,9 +259,15 @@ def test_count_binary_prefix_normal_bound():
         # Refused by the call itself: the returned scan is never iterated.
         (lambda: oracle._scan(standard_measure(Alphabet(tuple("abcd"))), range(1, 10)), 4**9),
         (lambda: brute_prefix_normal_set(standard_measure(ABC), Word(ABC, (0,) * 11)), 3**11),
+        # One letter has one word per length, but each costs n(n+1)/2 kernel
+        # cells; a huge length is refused at once, its cells summed in closed form.
+        (lambda: brute_gap_search(_UNARY_SUM, 456), 456 * 457 * 458 // 6),
+        (lambda: brute_gap_search(_UNARY_SUM, _HUGE), _HUGE * (_HUGE + 1) * (_HUGE + 2) // 6),
+        (lambda: brute_equivalence_class(_UNARY_SUM, Word(_UNARY, (0,) * 5632)), 5632 * 5633 // 2),
     ],
     ids=["binary-reduction", "gap-decision", "vector-gapfree", "trichotomy", "trichotomy-corpus",
-         "gap-decision-corpus", "gap-search", "scan-uniterated", "prefix-normal-set"],
+         "gap-decision-corpus", "gap-search", "scan-uniterated", "prefix-normal-set",
+         "one-letter-gap-search", "one-letter-gap-search-huge", "one-letter-class"],
 )
 def test_oversized_word_scans_are_refused_up_front(scan, count):
     # The sweeps refuse for their largest corpus alphabet before the first measure.
@@ -266,31 +277,10 @@ def test_oversized_word_scans_are_refused_up_front(scan, count):
 
 
 def test_word_scans_over_one_letter_are_never_refused():
+    # Never by their word count; their kernel cells are refused from 5632 letters (above).
     unary = Alphabet(("a",))
     word = Word(unary, (0,) * 80)
     assert brute_equivalence_class(sum_measure(unary, 1), word) == {word}
-
-
-_UNARY = Alphabet(("a",))
-_UNARY_SUM = sum_measure(_UNARY, 1)
-_HUGE = 10**9
-
-
-@pytest.mark.parametrize(
-    "scan,count",
-    [
-        (lambda: brute_gap_search(_UNARY_SUM, 456), 456 * 457 * 458 // 6),
-        # Summed in closed form, so a huge length is refused at once.
-        (lambda: brute_gap_search(_UNARY_SUM, _HUGE), _HUGE * (_HUGE + 1) * (_HUGE + 2) // 6),
-        (lambda: brute_equivalence_class(_UNARY_SUM, Word(_UNARY, (0,) * 5632)), 5632 * 5633 // 2),
-    ],
-    ids=["gap-search", "gap-search-huge", "class"],
-)
-def test_one_letter_scans_are_refused_by_their_kernel_cells(scan, count):
-    # One word per length is never too many words, but each costs n(n+1)/2 combines.
-    with pytest.raises(CapacityExceeded, match="kernel cells exceed the limit of 15859710") as info:
-        scan()
-    assert info.value.count == count
 
 
 @pytest.mark.parametrize("size,longest", [(1, 455), (2, 16), (3, 10), (4, 8), (5, 7), (10, 5)])

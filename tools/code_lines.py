@@ -5,7 +5,7 @@ A code line holds at least one token that is not a comment; docstrings
 lines are not code.  A string literal that is not a docstring counts on
 every line it spans.
 
-Usage: ``python3 tools/code_lines.py [package directory]``
+Usage: ``python3 tools/code_lines.py``
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    package = Path(args[0]) if args else PACKAGE
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
