@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 domain error (capacity or range), 2 usage or
 parse error.  Results go to stdout, error messages to stderr.  Output is
 byte-deterministic for fixed inputs and seed; ``--format lines`` switches
 to the machine-readable layout.
+
+Each command's handler returns its answer, the lines to print and the exit
+status.  ``main`` is the one path in and out: it reads a command's measure
+and word, prints its answer or its error, and returns the status.
 """
 
 from __future__ import annotations
@@ -33,8 +37,11 @@ EXIT_USAGE = 2
 
 SEED_ENV_VAR = "PREFIXNORM_SEED"
 
+# What a command answers: the lines ``main`` prints, and the exit status.
+Answer = tuple[list[str], int]
 
-def _cmd_classify(args, measure) -> int:
+
+def _cmd_classify(args, measure) -> Answer:
     flags = classify(measure)
     step, gap = flags.stepped, flags.gap_witness
 
@@ -54,32 +61,29 @@ def _cmd_classify(args, measure) -> int:
     if gap is not None:
         rows.append(("gap-witness", f"{gap.word} {gap.index}", f"{gap.word} at index {gap.index}"))
     if args.format == "lines":
-        for key, value, _ in rows:
-            print(f"{key} {value}")
-        return EXIT_OK
-    print(f"letters: {' '.join(measure.alphabet.letters)}")
-    print(f"monoid: {measure.kind.value}")
-    print(f"base weights: {format_weights(measure)}")
-    for key, _, value in rows:
-        print(f"{key.replace('-', ' ')}: {value}")
-    return EXIT_OK
+        return [f"{key} {value}" for key, value, _ in rows], EXIT_OK
+    head = [
+        f"letters: {' '.join(measure.alphabet.letters)}",
+        f"monoid: {measure.kind.value}",
+        f"base weights: {format_weights(measure)}",
+    ]
+    return head + [f"{key.replace('-', ' ')}: {value}" for key, _, value in rows], EXIT_OK
 
 
-def _cmd_weights(args, measure, word) -> int:
+def _cmd_weights(args, measure, word) -> Answer:
     profile = weight_profile(measure, word)
     header = [str(i) for i in range(1, len(word) + 1)]
     p_row = [str(v) for v in profile.prefix[1:]]
     f_row = [str(v) for v in profile.factor_max[1:]]
+    table = (("i", header), ("p", p_row), ("f", f_row))
     if args.format == "lines":
-        print("i " + " ".join(header))
-        print("p " + " ".join(p_row))
-        print("f " + " ".join(f_row))
-        return EXIT_OK
+        return [f"{label} {' '.join(row)}" for label, row in table], EXIT_OK
     widths = [max(len(a), len(b), len(c)) for a, b, c in zip(header, p_row, f_row)]
-    for label, row in (("i", header), ("p", p_row), ("f", f_row)):
+    lines = []
+    for label, row in table:
         cells = "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-        print(f"{label} | {cells}" if cells else f"{label} |")
-    return EXIT_OK
+        lines.append(f"{label} | {cells}" if cells else f"{label} |")
+    return lines, EXIT_OK
 
 
 def _parikh_text(word) -> str:
@@ -88,30 +92,28 @@ def _parikh_text(word) -> str:
     )
 
 
-def _cmd_pnf(args, measure, word) -> int:
+def _cmd_pnf(args, measure, word) -> Answer:
     result = prefix_normal_form(measure, word)
     parikh_in = f"parikh in : {_parikh_text(word)}"
     if isinstance(result, UniqueNormalForm):
-        lines = f"unique {result.word}"
+        record = f"unique {result.word}"
         text = [f"prefix normal form: {result.word}", parikh_in, f"parikh out: {_parikh_text(result.word)}"]
     elif isinstance(result, MultipleNormalForms):
-        lines = f"multiple {result.projected} {result.count}"
+        record = f"multiple {result.projected} {result.count}"
         text = [f"projected prefix normal form: {result.projected}", f"count: {result.count}", parikh_in]
     else:
         assert isinstance(result, NoNormalForm)
-        lines = f"gap {result.gap_word} {result.gap_index}"
+        record = f"gap {result.gap_word} {result.gap_index}"
         text = [f"no prefix normal form: gap at index {result.gap_index} of {result.gap_word}"]
-    print(lines if args.format == "lines" else "\n".join(text))
-    return EXIT_OK
+    return [record] if args.format == "lines" else text, EXIT_OK
 
 
-def _cmd_members(args, measure, word) -> int:
-    for member in sorted(args.members(measure, word, limit=args.limit), key=lambda w: w.indices):
-        print(member)
-    return EXIT_OK
+def _cmd_members(args, measure, word) -> Answer:
+    members = sorted(args.members(measure, word, limit=args.limit), key=lambda w: w.indices)
+    return [str(member) for member in members], EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Answer:
     seed = args.seed
     if seed is None:
         value = os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
@@ -120,13 +122,11 @@ def _cmd_verify(args) -> int:
         except ValueError:
             raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {value!r}") from None
     report = run_suite(args.suite, seed=seed, max_len=args.max_len, cases=args.cases)
-    print(report.render(args.format))
-    return EXIT_OK if report.passed else EXIT_DOMAIN
+    return [report.render(args.format)], EXIT_OK if report.passed else EXIT_DOMAIN
 
 
-def _cmd_count(args, **inputs) -> int:
-    print(args.counter(**inputs, n=args.n))
-    return EXIT_OK
+def _cmd_count(args, **inputs) -> Answer:
+    return [str(args.counter(**inputs, n=args.n))], EXIT_OK
 
 
 @contextmanager
@@ -222,7 +222,10 @@ def main(argv=None) -> int:
                 inputs["measure"] = load_measure(args.measure)
             if "word" in args:
                 inputs["word"] = Word.parse(inputs["measure"].alphabet, args.word)
-            return args.func(args, **inputs)
+            lines, status = args.func(args, **inputs)
+            for line in lines:
+                print(line)
+            return status
     except (OutOfRange, CapacityExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN

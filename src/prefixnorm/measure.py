@@ -429,7 +429,8 @@ def bounded_equivalence(first: WeightMeasure, second: WeightMeasure, max_len: in
     semi-decision: disagreement yields a witness pair of sorted words,
     agreement only certifies lengths up to the bound.  Refuses, before any
     level is built, bounds whose multisets over all levels would exceed the
-    default enumeration cap.
+    default enumeration cap.  A one-letter alphabet has one word per length,
+    none to order apart, so it is equivalent at once.
     """
     if first.alphabet != second.alphabet:
         raise ValueError("measures must share an alphabet to be compared")
@@ -437,6 +438,8 @@ def bounded_equivalence(first: WeightMeasure, second: WeightMeasure, max_len: in
         raise ValueError("max_len must be at least 1")
     size = len(first.alphabet)
     refuse(math.comb(max_len + size, size) - 1, f"letter multisets of lengths 1 to {max_len}")
+    if size == 1:
+        return EquivalenceReport(equivalent=True, max_len=max_len, witness=None)
     comb1, comb2 = first.combine, second.combine
     ws1, ws2 = first.payloads, second.payloads
     level = [((), first.identity_payload, second.identity_payload)]

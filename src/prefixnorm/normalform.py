@@ -19,11 +19,13 @@ class NoNormalForm:
 
     gap_word: Word
     gap_index: int
+    count = 0
 
 
 @dataclass(frozen=True)
 class UniqueNormalForm:
     word: Word
+    count = 1
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,8 @@ class MultipleNormalForms:
     count: int
 
 
+# Every result's ``count`` is the number of prefix-normal words in the class;
+# the fixed counts 0 and 1 are class attributes, not dataclass fields.
 NormalFormResult = NoNormalForm | UniqueNormalForm | MultipleNormalForms
 
 
@@ -76,12 +80,7 @@ def prefix_normal_form(measure: WeightMeasure, word: Word) -> NormalFormResult:
 
 def count_prefix_normal(measure: WeightMeasure, word: Word) -> int:
     """Number of prefix-normal words in the word's class, never materialised."""
-    result = prefix_normal_form(measure, word)
-    if isinstance(result, NoNormalForm):
-        return 0
-    if isinstance(result, UniqueNormalForm):
-        return 1
-    return result.count
+    return prefix_normal_form(measure, word).count
 
 
 def _expansion(measure: WeightMeasure, projected_words) -> int:

@@ -169,6 +169,8 @@ def _scan(measure: WeightMeasure, lengths: range):
 
 def brute_gap_search(measure: WeightMeasure, max_len: int) -> Gap | None:
     """First definitional gap in (length, lexicographic, index) order, if any."""
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     base, comb = sorted(set(measure.payloads)), measure.combine
     for indices, f in _scan(measure, range(1, max_len + 1)):
         for i in range(1, len(indices) + 1):
@@ -610,7 +612,7 @@ def _suite_vector_gapfree(seed: int, max_len: int = 6):
             problems.append("decision procedure reported a gap")
         if stepped_step(measure) is not None:
             problems.append("unexpected step found")
-        return sum(3 ** n for n in range(1, max_len + 1)) + 2, problems
+        return sum(len(measure.alphabet) ** n for n in range(1, max_len + 1)) + 2, problems
 
     return _sweep([(_VECTOR,)], check)
 
@@ -707,12 +709,7 @@ def _suite_equivalence(seed: int, max_len: int = 6):
         for done, (indices, reference) in enumerate(forms, 2):
             word = Word(measure.alphabet, indices)
             mine = prefix_normal_form(measure, word)
-            same = (
-                isinstance(mine, UniqueNormalForm)
-                and isinstance(reference, UniqueNormalForm)
-                and mine.word == reference.word
-            )
-            if not same:
+            if not (isinstance(mine, UniqueNormalForm) and mine == reference):
                 return done, [f"word {word} | normal form differs from the standard measure's"]
         return 1 + len(forms), []
 

@@ -6,6 +6,7 @@ from prefixnorm import (
     CapacityExceeded,
     Word,
     bounded_equivalence,
+    brute_gap_search,
     count_binary_prefix_normal,
     count_prefix_normal_words,
     equivalence_class,
@@ -64,8 +65,9 @@ def test_refuse_writes_a_count_past_str_as_a_power_of_ten():
         (lambda: bounded_equivalence(PAIR, PAIR, 0), "max_len must be at least 1"),
         (lambda: equivalence_class(PAIR, w(PAIR.alphabet, "ab"), limit=0), "limit must be at least 1"),
         (lambda: prefix_normal_set(PAIR, w(PAIR.alphabet, "ab"), limit=0), "limit must be at least 1"),
+        (lambda: brute_gap_search(PAIR, 0), "max_len must be at least 1"),
     ],
-    ids=["word-index", "equivalence-bound", "class-limit", "pnset-limit"],
+    ids=["word-index", "equivalence-bound", "class-limit", "pnset-limit", "brute-gap-bound"],
 )
 def test_usage_errors_are_value_errors(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -420,6 +420,24 @@ def test_equivalence_refuses_oversized_levels():
         bounded_equivalence(first, second, max_len=10**9)
 
 
+def test_one_letter_measures_are_equivalent_without_combining_a_weight(monkeypatch):
+    # One word per length leaves no two words to order apart, so a one-letter
+    # bound answers at once, up to the cap of 100 000 multisets.
+    one = Alphabet(("a",))
+    first = WeightMeasure(one, MonoidKind.NAT_SUM, (1,))
+    second = WeightMeasure(one, MonoidKind.NAT_PRODUCT, (2,))
+
+    def combine(measure):
+        raise AssertionError("combined a weight")
+
+    monkeypatch.setattr(WeightMeasure, "combine", property(combine))
+    report = bounded_equivalence(first, second, 100_000)
+    assert report.equivalent and report.witness is None and report.max_len == 100_000
+    with pytest.raises(CapacityExceeded) as info:
+        bounded_equivalence(first, second, 100_001)
+    assert info.value.count == 100_001
+
+
 def _orders_differently(first, second, u, v):
     a = [first.weight_payload(x) for x in (u, v)]
     b = [second.weight_payload(x) for x in (u, v)]

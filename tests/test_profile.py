@@ -289,6 +289,36 @@ def test_a_power_of_a_word_is_prefix_normal_iff_its_square_is(case):
         assert is_prefix_normal(measure, Word(measure.alphabet, period * k)) == square
 
 
+def _periodic_by_cyclic_windows(measure, period):
+    """u^ω is prefix normal iff each proper prefix of u outweighs every cyclic window of its length.
+
+    A longer factor of u^ω adds whole rotations of u, which all weigh w(u).
+    """
+
+    def weight(indices):
+        return measure.weight_payload(Word(measure.alphabet, indices))
+
+    n, doubled = len(period), period * 2
+    return all(weight(period[:r]) >= weight(doubled[i : i + r]) for r in range(1, n) for i in range(n))
+
+
+@pytest.mark.parametrize("kind", list(MonoidKind), ids=lambda kind: kind.value)
+def test_a_periodic_word_is_prefix_normal_iff_its_cyclic_windows_are_outweighed(kind):
+    rng = random.Random(2019)
+    verdicts = []
+    for _ in range(1000):
+        weights = [_QUERY_WEIGHTS[kind](rng) for _ in range(rng.randint(1, 4))]
+        measure = WeightMeasure(Alphabet(tuple("abcd"[: len(weights)])), kind, weights)
+        period = [rng.randrange(len(weights)) for _ in range(rng.randint(1, 7))]
+        # Half of the periods are sorted by descending weight, so more pass.
+        if rng.random() < 0.5:
+            period.sort(key=lambda i: weights[i], reverse=True)
+        square = is_prefix_normal(measure, Word(measure.alphabet, tuple(period * 2)))
+        assert _periodic_by_cyclic_windows(measure, tuple(period)) == square, (weights, period)
+        verdicts.append(square)
+    assert 100 < sum(verdicts) < 900
+
+
 def test_prefix_normal_iff_profile_equality_on_exhaustive_small_words():
     measure = sum_measure(ANCB, 1, 2, 2, 3)
     for n in range(0, 4):
