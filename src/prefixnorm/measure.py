@@ -205,14 +205,11 @@ class WeightMeasure:
             "{" + ",".join(self.alphabet.letters[i] for i in group) + "}" for group in classes
         )
         projected_measure = WeightMeasure(Alphabet(tokens), self.kind, groups.keys())
-        class_of = [0] * len(self.alphabet)
-        for class_index, group in enumerate(classes):
-            for i in group:
-                class_of[i] = class_index
+        class_index = {payload: c for c, payload in enumerate(groups)}
         return ProjectedMeasure(
             source_alphabet=self.alphabet,
             classes=classes,
-            class_of=tuple(class_of),
+            class_of=tuple(class_index[payload] for payload in self.payloads),
             measure=projected_measure,
         )
 
@@ -532,7 +529,7 @@ def parse_measure_text(text: str) -> WeightMeasure:
         except ValueError as err:
             raise MeasureSpecError(str(err), line=line) from None
 
-    kind = read("monoid", MonoidKind.from_name)
+    kind = read("monoid", MonoidKind)
     alphabet = read("letters", lambda value: Alphabet(tuple(value.split())))
     payloads = read("weights", lambda value: [parse_payload(kind, w) for w in value.split()])
     if len(payloads) != len(alphabet):

@@ -43,10 +43,7 @@ class MonoidKind(enum.Enum):
     VEC2_LEX = "vec2-lex"
 
     @classmethod
-    def from_name(cls, name: str) -> "MonoidKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
+    def _missing_(cls, name):
         known = ", ".join(k.value for k in cls)
         raise ValueError(f"unknown monoid {name!r} (expected one of: {known})")
 

@@ -6,9 +6,10 @@ other modules can be checked against an independent route.  ``_scan`` is
 the one definitional word scan, with the factor maxima of the separate
 kernel ``_running_factor_max``.  Every full scan of the |Σ|^n words of one
 length refuses up front, with ``CapacityExceeded``, when that count
-exceeds ``DEFAULT_LIMIT``: ``_scan`` when called, and the binary count and
-the binary-reduction sweep, whose own scans check the fast kernel.
-``_scan`` also refuses by its kernel cells, which bounds a one-letter scan.
+exceeds ``DEFAULT_LIMIT``: ``_scan`` when called, and the binary-reduction
+sweep, whose own scan checks the fast kernel.  The binary count walks the
+trie, yet refuses n as if it scanned all 2^n words.  ``_scan`` also
+refuses by its kernel cells, which bounds a one-letter scan.
 
 Every sweep is a deterministic stream of cases, each a tuple of
 measures, and a check ``check(*case) -> (cases, problems)``, both run by

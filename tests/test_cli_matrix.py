@@ -36,3 +36,18 @@ def test_cli_matrix_run_captures_output_and_exit_codes(tmp_path):
     assert tool.run(["pnf", paths["sum-123"], "abc", "--format", "lines"]) == ("unique cba\n", "", 0)
     out, err, code = tool.run(["pnf", paths["sum-123"]])
     assert (out, code) == ("", 2) and "word" in err
+
+
+def test_cli_matrix_reads_the_specs_of_a_few_commands(tmp_path):
+    tool = _load_tool()
+    paths = tool.write_specs(tmp_path)
+    argvs = tool.commands(tmp_path)
+    assert ["verify", "exchange", "--max-len", "3"] in argvs
+    assert ["class", paths["vec2"], "abcab", "--limit", "1"] in argvs
+    out, err, code = tool.run(["classify", paths["bad-monoid"]])
+    assert (out, code) == ("", 2)
+    assert "unknown monoid 'nat-summ' (expected one of: nat-sum, nat-product, vec2-lex)" in err
+    out, err, code = tool.run(["count-pn", paths["bad-weight"], "3"])
+    assert (out, code) == ("", 2) and "expected a decimal integer, got 'x'" in err
+    # 10^4301: more digits than Python prints by default.
+    assert tool.run(["count-pn", paths["one-class"], "4301"]) == ("1" + "0" * 4301 + "\n", "", 0)

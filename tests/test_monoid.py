@@ -28,6 +28,14 @@ def test_identity_values():
     assert payload_identity(MonoidKind.VEC2_LEX) == (0, 0)
 
 
+def test_kinds_are_looked_up_by_name_and_refuse_unknown_names():
+    for kind in MonoidKind:
+        assert MonoidKind(kind.value) is kind
+    with pytest.raises(ValueError) as info:
+        MonoidKind("bogus")
+    assert str(info.value) == "unknown monoid 'bogus' (expected one of: nat-sum, nat-product, vec2-lex)"
+
+
 def test_combine_examples():
     assert payload_combine(MonoidKind.NAT_SUM)(2, 3) == 5
     assert payload_combine(MonoidKind.VEC2_LEX)((0, 2), (1, 1)) == (1, 3)

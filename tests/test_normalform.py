@@ -159,7 +159,9 @@ def test_equivalence_class_refuses_a_large_expansion():
 
 def test_equivalence_class_refuses_a_large_projection_fiber_before_the_walk(monkeypatch):
     # One projected letter: 1 candidate word, yet every one of the 2^1000
-    # words over a, b is a member.  The walk would take seconds to find that.
+    # words over a, b is a member.  One projected class is yielded without a
+    # walk, so only the count of the word's expansion refuses it, before the
+    # walk is asked for anything.
     def no_walk(*args):
         raise AssertionError("walked")
 

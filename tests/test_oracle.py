@@ -38,7 +38,8 @@ from prefixnorm import (
 )
 from prefixnorm import oracle
 from prefixnorm.oracle import classic_max_ones, classic_prefix_ones, is_prefix_normal_classic
-from prefixnorm.profile import prefix_payloads
+from prefixnorm.measure import ProjectedMeasure
+from prefixnorm.profile import factor_max_payloads, prefix_payloads
 
 
 def test_brute_gap_search_returns_first_gap_in_scan_order():
@@ -533,6 +534,61 @@ def test_binary_reduction_reports_are_replayable_on_forced_failure(monkeypatch):
             "length 2 | counts disagree: op=3 classic=0 weighted=3",
         )
     )
+
+
+def _top_squared(ws, idx, ident, comb):
+    # The real factor maxima with the longest one combined with itself.
+    f, starts = factor_max_payloads(ws, idx, ident, comb)
+    return [*f[:-1], comb(f[-1], f[-1])], starts
+
+
+# Per suite: the call its check makes, a fault that fails its cases, the
+# sizes to run at, and the cases, violations and first line at seed 5.
+_FORCED_FAILURES = {
+    "position-functions": (
+        oracle, "prefix_payloads", lambda ws, idx, ident, comb: [ident] * (len(idx) + 1),
+        {"cases": 20}, (20, 18),
+        "measure[nat-sum; letters a b; weights 6 7] | word abbbaa | profiles must strictly increase",
+    ),
+    "subadditivity": (
+        oracle, "factor_max_payloads", _top_squared, {"cases": 20}, (20, 18),
+        "measure[nat-sum; letters a b; weights 6 7] | word abbbaa | split (1, 6) breaks subadditivity",
+    ),
+    "projection": (
+        ProjectedMeasure, "project_word", lambda self, word: Word(self.measure.alphabet, ()),
+        {"cases": 20}, (20, 18),
+        "measure[nat-sum; letters a b; weights 6 7] | word abbbaa | projection changed the weight",
+    ),
+    "exchange": (
+        # A data descriptor, so it also shadows a combine cached on a fixture.
+        WeightMeasure, "combine", property(lambda self: lambda a, b: a), {"cases": 20}, (20, 20),
+        "measure[vec2-lex; letters a b c; weights (0,2) (1,1) (2,0)] | positions i=0 x=2 y=1 | "
+        "exchange identity broken",
+    ),
+    "prime-gapful": (
+        oracle, "find_gap", lambda measure: None, {}, (56, 112),
+        "measure[nat-product; letters a b c; weights 2 3 5] | "
+        "decision says gapfree, brute force says gapful",
+    ),
+    "vector-gapfree": (
+        oracle, "stepped_step", lambda measure: (1, 0), {"max_len": 3}, (41, 1),
+        "measure[vec2-lex; letters a b c; weights (0,2) (1,1) (2,0)] | unexpected step found",
+    ),
+    "stepped-gapfree": (
+        oracle, "find_gap", lambda measure: Gap(Word(measure.alphabet, (0,)), 1), {"cases": 20}, (20, 9),
+        "measure[nat-sum; letters a b; weights 4 7] | stepped measure with a gap",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", _FORCED_FAILURES)
+def test_every_other_suite_reports_replayable_lines_on_forced_failure(monkeypatch, suite):
+    owner, name, fault, sizes, counts, first = _FORCED_FAILURES[suite]
+    assert run_suite(suite, seed=5, **sizes).passed
+    monkeypatch.setattr(owner, name, fault)
+    report = run_suite(suite, seed=5, **sizes)
+    assert (report.cases, len(report.violations)) == counts
+    assert report.violations[0] == first
 
 
 def test_binary_reduction_scans_each_word_once(monkeypatch):

@@ -271,11 +271,18 @@ def test_position_bound_matches_all_pairs_of_factor_weights(case):
 
 @st.composite
 def _periodic_cases(draw):
-    # Half of the periods are sorted by descending weight, so more powers pass.
+    # Periods of 2-6 letters over at least two weights; half of them are
+    # sorted by descending weight, so more powers pass.
     kind = draw(st.sampled_from(list(MonoidKind)))
-    weights = draw(st.lists(_CONDITION_WEIGHTS[kind], min_size=2, max_size=4))
+    weights = draw(
+        st.lists(_CONDITION_WEIGHTS[kind], min_size=2, max_size=4).filter(lambda ws: len(set(ws)) > 1)
+    )
     measure = WeightMeasure(Alphabet(tuple("abcd"[: len(weights)])), kind, weights)
-    period = draw(st.lists(st.integers(0, len(weights) - 1), min_size=1, max_size=6))
+    period = draw(
+        st.lists(st.integers(0, len(weights) - 1), min_size=2, max_size=6).filter(
+            lambda p: len({weights[i] for i in p}) > 1
+        )
+    )
     if draw(st.booleans()):
         period.sort(key=lambda i: weights[i], reverse=True)
     return measure, tuple(period)
@@ -315,6 +322,8 @@ def test_a_periodic_word_is_prefix_normal_iff_its_cyclic_windows_are_outweighed(
             period.sort(key=lambda i: weights[i], reverse=True)
         square = is_prefix_normal(measure, Word(measure.alphabet, tuple(period * 2)))
         assert _periodic_by_cyclic_windows(measure, tuple(period)) == square, (weights, period)
+        for k in range(3, 7):
+            assert is_prefix_normal(measure, Word(measure.alphabet, tuple(period * k))) == square
         verdicts.append(square)
     assert 100 < sum(verdicts) < 900
 
@@ -604,6 +613,48 @@ def test_random_words_of_tied_logs_keep_their_exact_maxima_and_starts(weights):
         best, starts = _both_kernels(MonoidKind.NAT_PRODUCT, weights, indices)
         steps = list(factor_max_steps(weights, indices, comb))
         assert steps == list(zip(best[1:], starts[1:]))
+
+
+def _a_shorter_suffix_enters_the_band(letters):
+    """Whether, at some length k, a suffix shorter than k lies in the log view's band.
+
+    The band holds the windows whose log sum is above M - slack * k, M the
+    largest log sum of k letters; the certificate masks such suffixes out.
+    The longest of them, of k - 1 letters, weighs the most.
+    """
+    logs, slack = monoid.log_view(set(letters))
+    sums = [0, *itertools.accumulate(logs[w] for w in letters)]
+    n = len(letters)
+    return any(
+        sums[n] - sums[n - k + 1] > max(sums[s + k] - sums[s] for s in range(n - k + 1)) - slack * k
+        for k in range(2, n + 1)
+    )
+
+
+def test_shorter_suffixes_are_masked_out_of_the_log_view_band(monkeypatch):
+    # log_view reads LOG_BITS per call, and the certificate holds for any
+    # width.  With logs to 1/256 a letter 2 or 3 adds 256 or 405 to a log
+    # sum, and a band of slack 2 reaches that far below M from 129 and 203
+    # letters: so on words of 160-220 letters the suffix one letter shorter
+    # than k enters the band (at 16 bits that takes 32 768 letters).
+    monkeypatch.setattr(monoid, "LOG_BITS", 8)
+    comb = payload_combine(MonoidKind.NAT_PRODUCT)
+    rng = random.Random(23)
+    routed = masked = 0
+    for count in range(120):
+        weights = ((2, 3, 5, 7), (2, 3), (3, 2**40), (2, 5, 11))[count % 4]
+        used = rng.sample(range(len(weights)), rng.randint(1, len(weights)))
+        indices = [rng.choice(used) for _ in range(rng.randint(160, 220))]
+        if count % 8 >= 4:
+            indices.sort(key=weights.__getitem__, reverse=True)
+        letters = [weights[i] for i in indices]
+        packed = profile._route(letters, comb)
+        if not (packed and packed[2]):
+            continue
+        routed += 1
+        masked += _a_shorter_suffix_enters_the_band(letters)
+        _both_kernels(MonoidKind.NAT_PRODUCT, weights, tuple(indices))
+    assert routed > 50 and masked > 10
 
 
 def test_gap_steps_of_a_long_vec2_word_agree_with_the_start_major_profile(monkeypatch):

@@ -15,7 +15,14 @@ matrix byte for byte alike.  The matrix:
   letter; ``count-pn`` at n = -1, 0, 4, 11 and 40;
 - ``count-pn`` on a missing spec file, ``count-binary-pn`` at n = -1, 0, 3,
   16, 17 and 40, and two commands that ``argparse`` or the suite lookup
-  refuse.
+  refuse;
+- ``class`` and ``pnset`` with ``--limit 1`` on each of the six specs;
+- ``verify exchange --max-len 3`` and ``verify vector-gapfree --cases 5``,
+  sizes those suites do not declare;
+- ``classify`` and ``count-pn`` on a spec with an unknown monoid and on one
+  with a weight that is not a number, and ``count-pn`` at n = 4 301 on ten
+  letters of one weight, a count of 4 302 digits, past Python's default
+  ``int`` -> ``str`` limit.
 
 The specs are written to a temporary directory; its path reads ``SPECS`` in
 the digested output and in the printed commands.
@@ -46,6 +53,12 @@ SPECS = {
     "product-233": ("nat-product", "2 3 3"),
     "vec2": ("vec2-lex", "(0,2) (1,1) (2,0)"),
 }
+# Specs read by a few commands only: (monoid, letters, weights).
+ODD_SPECS = {
+    "bad-monoid": ("nat-summ", "a b c", "1 2 3"),
+    "bad-weight": ("nat-sum", "a b c", "1 x 3"),
+    "one-class": ("nat-sum", "a b c d e f g h i j", " ".join(["1"] * 10)),
+}
 SEEDS = (271828, 5, 99)
 PLACEHOLDER = "SPECS"
 
@@ -53,9 +66,10 @@ PLACEHOLDER = "SPECS"
 def write_specs(spec_dir) -> dict[str, str]:
     """Write every spec into ``spec_dir``; returns each spec's path by name."""
     paths = {}
-    for name, (monoid, weights) in SPECS.items():
+    specs = {name: (monoid, "a b c", weights) for name, (monoid, weights) in SPECS.items()}
+    for name, (monoid, letters, weights) in {**specs, **ODD_SPECS}.items():
         path = Path(spec_dir) / f"{name}.measure"
-        path.write_text(f"monoid = {monoid}\nletters = a b c\nweights = {weights}\n", encoding="utf-8")
+        path.write_text(f"monoid = {monoid}\nletters = {letters}\nweights = {weights}\n", encoding="utf-8")
         paths[name] = str(path)
     return paths
 
@@ -72,7 +86,7 @@ def commands(spec_dir) -> list[list[str]]:
     paths = write_specs(spec_dir)
     formats = (["--format", "text"], ["--format", "lines"])
     argvs = [["verify", suite, "--seed", str(seed), "--format", "lines"] for suite in suite_names() for seed in SEEDS]
-    for path in paths.values():
+    for path in (paths[name] for name in SPECS):
         argvs += [["classify", path, *fmt] for fmt in formats]
         for word in _words():
             argvs += [[command, path, word, *fmt] for command in ("pnf", "weights") for fmt in formats]
@@ -81,6 +95,11 @@ def commands(spec_dir) -> list[list[str]]:
     argvs.append(["count-pn", str(Path(spec_dir) / "missing.measure"), "3"])
     argvs += [["count-binary-pn", str(n)] for n in (-1, 0, 3, 16, 17, 40)]
     argvs += [["pnf", paths["sum-123"]], ["verify", "no-such-suite"]]
+    argvs += [[command, paths[name], "abcab", "--limit", "1"] for name in SPECS for command in ("class", "pnset")]
+    argvs += [["verify", "exchange", "--max-len", "3"], ["verify", "vector-gapfree", "--cases", "5"]]
+    for name in ("bad-monoid", "bad-weight"):
+        argvs += [["classify", paths[name]], ["count-pn", paths[name], "3"]]
+    argvs.append(["count-pn", paths["one-class"], "4301"])
     return argvs
 
 
