@@ -3,8 +3,14 @@
 Everything here recomputes derived quantities straight from their
 definitions (full word enumeration, window scans) so the fast paths in the
 other modules can be checked against an independent route.  ``_scan`` is
-the one definitional word scan, with the factor maxima of the separate
-kernel ``_running_factor_max``.  Every full scan of the |Σ|^n words of one
+the one definitional word scan: each word's prefix weights and factor
+maxima come from one running combine from every start, ``_running_rows``,
+kept apart from the fast profile kernels.  Its start-0 pass runs first, so
+each maximum starts at a real window, the prefix, and no carrier's
+identity is taken for its minimum.  ``brute_gap_search`` tests every
+one-letter step at every position; it combines each factor maximum with
+the letter weights once per call and looks the next maximum up in that
+set, which is the same test.  Every full scan of the |Σ|^n words of one
 length refuses up front, with ``CapacityExceeded``, when that count
 exceeds ``DEFAULT_LIMIT``: ``_scan`` when called, and the binary-reduction
 sweep, whose own scan checks the fast kernel.  The binary count walks the
@@ -112,24 +118,39 @@ class SweepReport:
         return "\n".join([head, *(f"  counterexample: {line}" for line in self.violations)])
 
 
-def _running_factor_max(letter_weights, indices, ident, comb):
-    """Per-length factor maxima, by a running combine from every start.
+def _running_rows(letter_weights, indices, ident, comb):
+    """``(prefix weights, factor maxima)`` per length, by a running combine from every start.
 
     The definitional kernel of the brute oracles, kept apart from the fast
-    ``profile.factor_max_payloads`` so that the two check each other.
+    profile kernels so that the two check each other.  The start-0 pass
+    runs first and gives the prefix row, so every maximum starts at a real
+    window, its prefix: no window is assumed to weigh at least the
+    identity, and the later starts only ever raise a maximum.
     """
-    n = len(indices)
-    best = [None] * (n + 1)
-    best[0] = ident
-    for start in range(n):
+    prefix = [ident]
+    acc = ident
+    for i in indices:
+        acc = comb(acc, letter_weights[i])
+        prefix.append(acc)
+    best = prefix.copy()
+    for start in range(1, len(indices)):
         acc = ident
-        for end in range(start + 1, n + 1):
-            acc = comb(acc, letter_weights[indices[end - 1]])
-            size = end - start
-            cur = best[size]
-            if cur is None or cur < acc:
+        size = 0
+        for i in indices[start:]:
+            acc = comb(acc, letter_weights[i])
+            size += 1
+            if best[size] < acc:
                 best[size] = acc
-    return best
+    return prefix, best
+
+
+def _running_factor_max(letter_weights, indices, ident, comb):
+    """Per-length factor maxima, the second row of ``_running_rows``.
+
+    Each maximum is taken over real windows only, its prefix first, so it
+    holds for weights below the identity too.
+    """
+    return _running_rows(letter_weights, indices, ident, comb)[1]
 
 
 def _scan_cells(size: int, lengths: range) -> int:
@@ -149,12 +170,13 @@ _SCAN_CELL_LIMIT = _scan_cells(2, range(1, 17))
 
 
 def _scan(measure: WeightMeasure, lengths: range):
-    """``(indices, factor maxima)`` of every word of the ascending ``lengths``, in order.
+    """``(indices, prefix weights, factor maxima)`` of each word of the ascending ``lengths``.
 
-    The call itself refuses when the last length has over ``DEFAULT_LIMIT``
-    words, and then when the scan's kernel cells exceed those of a binary
-    scan of lengths 1 to 16: a one-letter alphabet has one word per length,
-    yet each costs n(n+1)/2 combines.
+    The words come in (length, lexicographic) order.  The call itself
+    refuses when the last length has over ``DEFAULT_LIMIT`` words, and then
+    when the scan's kernel cells exceed those of a binary scan of lengths 1
+    to 16: a one-letter alphabet has one word per length, yet each costs
+    n(n+1)/2 combines.
     """
     size = len(measure.alphabet)
     if lengths:
@@ -162,40 +184,53 @@ def _scan(measure: WeightMeasure, lengths: range):
         refuse(_scan_cells(size, lengths), "kernel cells", _SCAN_CELL_LIMIT)
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     return (
-        (indices, _running_factor_max(ws, indices, ident, comb))
+        (indices, *_running_rows(ws, indices, ident, comb))
         for length in lengths
         for indices in itertools.product(range(size), repeat=length)
     )
 
 
 def brute_gap_search(measure: WeightMeasure, max_len: int) -> Gap | None:
-    """First definitional gap in (length, lexicographic, index) order, if any."""
+    """First definitional gap in (length, lexicographic, index) order, if any.
+
+    Position i of a word is a gap when no letter weight b gives
+    ``combine(f[i-1], b) == f[i]``.  The set of those one-letter successors
+    of each maximum is combined once per call and kept under that maximum,
+    so ``f[i] in successors`` is the same test, made without recombining.
+    """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    base, comb = sorted(set(measure.payloads)), measure.combine
-    for indices, f in _scan(measure, range(1, max_len + 1)):
+    base, comb = set(measure.payloads), measure.combine
+    steps: dict = {}
+    for indices, _, f in _scan(measure, range(1, max_len + 1)):
         for i in range(1, len(indices) + 1):
-            if not any(comb(f[i - 1], b) == f[i] for b in base):
+            prev = f[i - 1]
+            successors = steps.get(prev)
+            if successors is None:
+                successors = steps[prev] = {comb(prev, b) for b in base}
+            if f[i] not in successors:
                 return Gap(Word(measure.alphabet, indices), i)
     return None
 
 
-def brute_equivalence_class(measure: WeightMeasure, word: Word) -> set[Word]:
-    """Every same-length word whose factor-weight profile equals the word's, by full scan."""
+def _brute_class_rows(measure: WeightMeasure, word: Word) -> list[tuple]:
+    """The scan rows of every same-length word whose factor maxima equal the word's."""
     measure.check_word(word)
     scan = _scan(measure, range(len(word), len(word) + 1))
-    target = _running_factor_max(
-        measure.payloads, word.indices, measure.identity_payload, measure.combine
-    )
-    return {Word(measure.alphabet, indices) for indices, f in scan if f == target}
+    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    target = _running_factor_max(ws, word.indices, ident, comb)
+    return [row for row in scan if row[2] == target]
+
+
+def brute_equivalence_class(measure: WeightMeasure, word: Word) -> set[Word]:
+    """Every same-length word whose factor-weight profile equals the word's, by full scan."""
+    return {Word(measure.alphabet, indices) for indices, _, _ in _brute_class_rows(measure, word)}
 
 
 def brute_prefix_normal_set(measure: WeightMeasure, word: Word) -> set[Word]:
-    """Filter the full factor-weight class of the word by the PN predicate."""
-    members = brute_equivalence_class(measure, word)
-    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-    target = _running_factor_max(ws, word.indices, ident, comb)
-    return {m for m in members if prefix_payloads(ws, m.indices, ident, comb) == target}
+    """The prefix-normal words of the word's factor-weight class, by one full scan."""
+    rows = _brute_class_rows(measure, word)
+    return {Word(measure.alphabet, indices) for indices, p, f in rows if p == f}
 
 
 def _check_trichotomy(measure: WeightMeasure, max_len: int) -> tuple[int, list[str]]:
@@ -210,16 +245,15 @@ def _check_trichotomy(measure: WeightMeasure, max_len: int) -> tuple[int, list[s
     """
     scan = _scan(measure, range(1, max_len + 1))
     flags = classify(measure)
-    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     problems: list[str] = []
     cases = 0
     # Profiles of different lengths differ in length, so one dict keeps the
     # classes apart and in scan order.
     groups: dict[tuple, list] = {}
-    for indices, f in scan:
+    for indices, p, f in scan:
         cases += 1
         group = groups.setdefault(tuple(f), [0, indices])
-        if prefix_payloads(ws, indices, ident, comb) == f:
+        if p == f:
             group[0] += 1
     found_empty = found_multi = False
     for pn_count, first_indices in groups.values():
@@ -697,7 +731,9 @@ def _suite_equivalence(seed: int, max_len: int = 6):
     def standard_forms(alphabet):
         std = standard_measure(alphabet)
         scan = _scan(std, range(6))
-        return [(indices, prefix_normal_form(std, Word(alphabet, indices))) for indices, _ in scan]
+        return [
+            (indices, prefix_normal_form(std, Word(alphabet, indices))) for indices, _, _ in scan
+        ]
 
     def check_standard(measure):
         flags = classify(measure)

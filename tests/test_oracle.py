@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import gc
 import itertools
+import operator
 import pickle
 import random
+from functools import reduce
 from types import SimpleNamespace
 
 import pytest
@@ -60,6 +62,69 @@ def test_brute_gap_search_on_powers_of_two_weights():
 
 def test_brute_gap_search_standard_measure_finds_nothing():
     assert brute_gap_search(standard_measure(ABC), 5) is None
+
+
+def _window_maxima(letters, ident, comb):
+    """Heaviest window of each length, each window folded by ``reduce`` from its own slice."""
+    n = len(letters)
+    return [ident] + [
+        max(reduce(comb, letters[start : start + size]) for start in range(n - size + 1))
+        for size in range(1, n + 1)
+    ]
+
+
+def test_the_running_kernel_takes_every_maximum_from_a_real_window():
+    # Raw weights around the identity 0: a maximum seeded with the identity
+    # would read 0 at lengths where every window weighs less.
+    weights = (-3, -1, 2)
+    for n in range(7):
+        for indices in itertools.product(range(3), repeat=n):
+            letters = [weights[i] for i in indices]
+            assert oracle._running_factor_max(weights, indices, 0, operator.add) == (
+                _window_maxima(letters, 0, operator.add)
+            ), indices
+
+
+@pytest.mark.parametrize(
+    "measure", [sum_measure(ABC, 1, 2, 2), product_measure(ABC, 2, 3, 5), VEC_FIXTURE],
+    ids=lambda m: m.kind.value,
+)
+def test_the_scan_prefix_row_is_the_prefix_weights(measure):
+    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    rows = list(oracle._scan(measure, range(6)))
+    assert len(rows) == sum(3**n for n in range(6))
+    for indices, prefix, _ in rows:
+        assert prefix == prefix_payloads(ws, indices, ident, comb), indices
+
+
+def _reference_gap_search(measure, max_len):
+    """First gap in (length, lexicographic, index) order, every step tried on sliced maxima."""
+    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    for n in range(1, max_len + 1):
+        for indices in itertools.product(range(len(ws)), repeat=n):
+            f = _window_maxima([ws[i] for i in indices], ident, comb)
+            for i in range(1, n + 1):
+                if not any(comb(f[i - 1], b) == f[i] for b in ws):
+                    return str(Word(measure.alphabet, indices)), i
+    return None
+
+
+def _gap_pair(gap):
+    return None if gap is None else (str(gap.word), gap.index)
+
+
+def test_brute_gap_search_matches_the_reference_on_the_corpus():
+    measures = corpus_measures(5)
+    found = [_gap_pair(brute_gap_search(measure, 5)) for measure in measures]
+    assert found == [_reference_gap_search(measure, 5) for measure in measures]
+    assert 50 < sum(gap is None for gap in found) < 170
+
+
+def test_brute_gap_search_matches_the_reference_on_the_enumerate_fixtures():
+    product = product_measure(ABC, 2, 3, 5)
+    assert brute_gap_search(VEC_FIXTURE, 6) is _reference_gap_search(VEC_FIXTURE, 6) is None
+    gap = _gap_pair(brute_gap_search(product, 6))
+    assert gap == _reference_gap_search(product, 6) == ("bcac", 3)
 
 
 def test_brute_and_fast_gap_decisions_agree_on_fixtures():
@@ -181,10 +246,8 @@ def measures_and_lengths(draw):
 @given(case=measures_and_lengths())
 def test_count_prefix_normal_words_matches_the_definitional_scan(case):
     measure, n = case
-    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     assert count_prefix_normal_words(measure, n) == sum(
-        prefix_payloads(ws, indices, ident, comb) == f
-        for indices, f in oracle._scan(measure, range(n, n + 1))
+        p == f for _, p, f in oracle._scan(measure, range(n, n + 1))
     )
 
 

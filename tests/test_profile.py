@@ -23,8 +23,10 @@ from prefixnorm import (
 )
 from prefixnorm import monoid, profile
 from prefixnorm.monoid import MonoidKind, payload_combine, payload_identity
-from prefixnorm.oracle import _running_factor_max, classic_max_ones, is_prefix_normal_classic
-from prefixnorm.profile import factor_max_payloads, factor_max_steps
+from prefixnorm.oracle import (
+    _running_factor_max, _running_rows, classic_max_ones, is_prefix_normal_classic,
+)
+from prefixnorm.profile import factor_max_payloads, factor_max_steps, prefix_payloads
 
 MU = sum_measure(ANB, 1, 2, 3)
 
@@ -269,23 +271,46 @@ def test_position_bound_matches_all_pairs_of_factor_weights(case):
     assert normality_conditions(measure, word)[3] == _position_bound_over_all_pairs(measure, word)
 
 
+def _heaviest_rotation(measure, period):
+    """The rotation of the period with the heaviest prefixes, compared length by length.
+
+    When some rotation's powers are prefix normal, its prefixes outweigh
+    those of every other rotation, so this rotation's powers are too.
+    """
+    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    rotations = [period[i:] + period[:i] for i in range(len(period))]
+    return max(rotations, key=lambda rotation: prefix_payloads(ws, rotation, ident, comb))
+
+
+def _period_verdict(measure, period):
+    """Whether u·u is prefix normal, by the oracle's rows, and whether u is unsorted.
+
+    A period sorted by descending weight, one weight included, always
+    passes, so only an unsorted one can disagree with a criterion.
+    """
+    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    prefix, best = _running_rows(ws, period * 2, ident, comb)
+    letters = [ws[i] for i in period]
+    return prefix == best, letters != sorted(letters, reverse=True)
+
+
 @st.composite
 def _periodic_cases(draw):
     # Periods of 2-6 letters over at least two weights; half of them are
-    # sorted by descending weight, so more powers pass.
+    # turned to their heaviest rotation and kept when that is prefix normal
+    # and unsorted.
     kind = draw(st.sampled_from(list(MonoidKind)))
     weights = draw(
         st.lists(_CONDITION_WEIGHTS[kind], min_size=2, max_size=4).filter(lambda ws: len(set(ws)) > 1)
     )
     measure = WeightMeasure(Alphabet(tuple("abcd"[: len(weights)])), kind, weights)
-    period = draw(
-        st.lists(st.integers(0, len(weights) - 1), min_size=2, max_size=6).filter(
-            lambda p: len({weights[i] for i in p}) > 1
-        )
-    )
+    periods = st.lists(st.integers(0, len(weights) - 1), min_size=2, max_size=6).map(tuple)
+    periods = periods.filter(lambda p: len({weights[i] for i in p}) > 1)
     if draw(st.booleans()):
-        period.sort(key=lambda i: weights[i], reverse=True)
-    return measure, tuple(period)
+        periods = periods.map(lambda p: _heaviest_rotation(measure, p)).filter(
+            lambda p: _period_verdict(measure, p) == (True, True)
+        )
+    return measure, draw(periods)
 
 
 @given(_periodic_cases())
@@ -309,23 +334,34 @@ def _periodic_by_cyclic_windows(measure, period):
     return all(weight(period[:r]) >= weight(doubled[i : i + r]) for r in range(1, n) for i in range(n))
 
 
+def _random_period(rng, kind):
+    weights = [_QUERY_WEIGHTS[kind](rng) for _ in range(rng.randint(1, 4))]
+    measure = WeightMeasure(Alphabet(tuple("abcd"[: len(weights)])), kind, weights)
+    return measure, tuple(rng.randrange(len(weights)) for _ in range(rng.randint(1, 7)))
+
+
 @pytest.mark.parametrize("kind", list(MonoidKind), ids=lambda kind: kind.value)
 def test_a_periodic_word_is_prefix_normal_iff_its_cyclic_windows_are_outweighed(kind):
     rng = random.Random(2019)
-    verdicts = []
-    for _ in range(1000):
-        weights = [_QUERY_WEIGHTS[kind](rng) for _ in range(rng.randint(1, 4))]
-        measure = WeightMeasure(Alphabet(tuple("abcd"[: len(weights)])), kind, weights)
-        period = [rng.randrange(len(weights)) for _ in range(rng.randint(1, 7))]
-        # Half of the periods are sorted by descending weight, so more pass.
-        if rng.random() < 0.5:
-            period.sort(key=lambda i: weights[i], reverse=True)
-        square = is_prefix_normal(measure, Word(measure.alphabet, tuple(period * 2)))
-        assert _periodic_by_cyclic_windows(measure, tuple(period)) == square, (weights, period)
+    unsorted_normal = not_normal = 0
+    for case in range(1000):
+        # A third of the cases are redrawn until the period's heaviest
+        # rotation is prefix normal and unsorted, a third until the period
+        # is not prefix normal; the rest are kept as drawn.
+        while True:
+            measure, period = _random_period(rng, kind)
+            if case % 3 == 1:
+                period = _heaviest_rotation(measure, period)
+            normal, unsorted = _period_verdict(measure, period)
+            if case % 3 == 0 or (normal and unsorted if case % 3 == 1 else not normal):
+                break
+        square = is_prefix_normal(measure, Word(measure.alphabet, period * 2))
+        assert _periodic_by_cyclic_windows(measure, period) == square == normal, (measure, period)
         for k in range(3, 7):
-            assert is_prefix_normal(measure, Word(measure.alphabet, tuple(period * k))) == square
-        verdicts.append(square)
-    assert 100 < sum(verdicts) < 900
+            assert is_prefix_normal(measure, Word(measure.alphabet, period * k)) == square
+        unsorted_normal += square and unsorted
+        not_normal += not square
+    assert unsorted_normal >= 250 and not_normal >= 250
 
 
 def test_prefix_normal_iff_profile_equality_on_exhaustive_small_words():
