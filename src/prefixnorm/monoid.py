@@ -24,6 +24,8 @@ multiply, with a bound on how far a sum of them lies below the exact log.
 ``window_products`` decodes it back: the exact product of any window.
 ``MonoidValue`` tags the values the package hands out (profiles, steps,
 word weights) with their kind; its comparisons refuse to mix kinds.
+``computed_value`` builds one from a payload the package computed from
+checked ones, without checking it again.
 """
 
 from __future__ import annotations
@@ -251,3 +253,17 @@ class MonoidValue:
     def __str__(self):
         return format_payload(self.kind, self.payload)
 
+
+
+def computed_value(kind: MonoidKind, payload: Payload) -> MonoidValue:
+    """``MonoidValue(kind, payload)`` for a payload the package computed from checked ones, unchecked.
+
+    The fields are set with ``object.__setattr__``, as the frozen
+    dataclass's own ``__init__`` sets them, so the value keeps CPython's
+    key-sharing instance dict (a literal ``__dict__`` would cost about
+    twice the memory).  Public construction still checks its payload.
+    """
+    value = object.__new__(MonoidValue)
+    object.__setattr__(value, "kind", kind)
+    object.__setattr__(value, "payload", payload)
+    return value

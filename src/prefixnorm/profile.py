@@ -19,7 +19,11 @@ kernel decodes its view maxima in one place, with the view's ``decode``:
   ``_PACKED_MAX_FIELD_BITS`` bits holds the word's total weight below a
   spare guard bit.  All windows of one length then share one Python int,
   one field each, so a length costs a few big-int adds, shifts and masks
-  that run in C instead of n Python-level combines.  nat-product words of
+  that run in C instead of n Python-level combines.  The rows keep only
+  the live windows: once the n - k + 1 windows of length k fall below 7/8
+  of the fields kept, the fields above them are dropped
+  (``_CUT_SHARE``), so each length works on ints of about its live
+  windows, not of the whole word.  nat-product words of
   at least ``_LOG_MIN_LETTERS`` letters take them on ``monoid.log_view``:
   each weight w becomes L = floor(2^b log2 w), b = ``monoid.LOG_BITS`` =
   16, and the rows add logs.  A window's log sum lies less than ``slack``
@@ -40,15 +44,24 @@ prefix-normal ones; at 2000, 1.9-7.2x and 3.3-9.9x.  On 250-letter
 nat-sum words they still won with 56-64-bit fields (random 1.0-1.1x,
 prefix normal 1.8-2.1x) and lost from 72 bits (random 0.4-0.75x), as every
 operation grows with the field while the loops' ints stay small.
+Re-measured with the live-window rows (nat-sum (1,2,3,4) and vec2-lex,
+median over 12 words): random words took 0.5-0.6x at 24 letters, 0.8-0.9x
+at 48 and 1.0-1.1x at 64, prefix-normal ones 0.9x at 24, 1.1-1.2x at 32
+and 1.6-1.7x at 48, so 48 stays.
 
 The log view pays per length for the band test and the decode, and its
 steps seldom repeat, so it needs longer words (nat-product (2,3,5,7), best
 of 11, full profile, median over 12 words): random words took 0.5x the
 loops' speed at 48 letters, 0.9x at 128 and 1.1x at 160 (0.75-1.9x),
 prefix-normal ones 1.0x at 48, 1.9x at 128 and 2.2x at 160; at 2000
-letters (four words) 3.5x and 6.5x.  On the nat-product calls of two long-words rounds, b = 12,
-16, 20, 24 and 32 took 0.99, 0.87, 0.91, 0.89 and 1.24 s; b = 16 keeps a
-field at 4 bytes up to about 11 000 letters of weight 7.
+letters (four words) 3.5x and 6.5x.  With the live-window rows the full
+profile of random words won from 128 letters (0.94x at 96, 1.16x at 128,
+1.37x at 160), but ``prefix_normal_form``, which stops after a few
+lengths and still pays the log view's setup, took 1.3-1.45x as long on
+random words of 128 and 144 letters (median over 20): so 160 stays.  On
+the nat-product calls of two long-words rounds, b = 12, 16, 20, 24 and 32
+took 0.99, 0.87, 0.91, 0.89 and 1.24 s; b = 16 keeps a field at 4 bytes
+up to about 11 000 letters of weight 7.
 
 A step that lies strictly between two letter steps, frequent for vec2-lex,
 is settled by bisection while more than ``_FEW_WINDOWS`` windows reach the
@@ -59,6 +72,13 @@ letters, where a few windows pass; reading alone took 2.1x as long on
 the 1000-letter periodic word ((0,3) (2,0) (1,1) (1,2) (1,1))^200, where
 hundreds pass (slower than the loops), and 2.6x on ((0,3) (2,0)^6) repeated.
 Thresholds from 8 to 64 read within 10 % of 16 on all of them.
+
+The cut share is measured over 27 full profiles (the three carriers at
+250, 1000 and 2000 letters, random, sorted and periodic, best of 5,
+summed): keeping every field took 790 ms; dropping the fields above the
+live windows once those were more than 1/2, 1/4, 1/8, 1/16 or 1/32 of
+the kept fields took 610, 562, 540, 589 and 528 ms, from 1/8 on within
+the machine's noise.
 
 The full profile and the steps do not replace each other.  On whole
 random words of 4-32 letters the steps took 15-40 % longer than the full
@@ -79,19 +99,21 @@ from operator import add, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import OutOfRange
-from .monoid import MonoidValue, int_view, log_view, window_products
+from .monoid import MonoidValue, computed_value, int_view, log_view, window_products
 
 if TYPE_CHECKING:
     from .measure import Word, WeightMeasure
 
 # The packed rows run from this many letters (on the log view, from the
-# second count), on fields of at most this many bits, and read off at most
-# this many windows where they would otherwise bisect (see the module
-# docstring).
+# second count), on fields of at most this many bits, read off at most this
+# many windows where they would otherwise bisect, and drop the fields above
+# the live windows once those are more than 1/_CUT_SHARE of the fields kept
+# (see the module docstring).
 _PACKED_MIN_LETTERS = 48
 _LOG_MIN_LETTERS = 160
 _PACKED_MAX_FIELD_BITS = 64
 _FEW_WINDOWS = 16
+_CUT_SHARE = 8
 
 
 def factor_max_payloads(letter_weights: Sequence, indices: Sequence[int], ident, comb):
@@ -215,7 +237,11 @@ def _packed_steps(letters: list, size: int, exact=None):
     guard bits left set mark the windows weighing at least M(k-1) + e, the
     lowest one the leftmost.  Fields past n - k hold shorter suffixes, which
     weigh at most M(k-1): they pass no test with e > 0, and a real window
-    below them passes every test they pass.
+    below them passes every test they pass.  So the rows keep only
+    ``kept`` fields: once the fields past n - k are more than
+    1/``_CUT_SHARE`` of them, ``row``, ``ones`` and ``guards`` drop those
+    fields, and every later length works on ints of about its live windows.
+    The one-run mask of ``certify`` takes ``kept`` fields too.
 
     M(k) - M(k-1) lies between the lightest and the heaviest letter.  The
     previous step is tried first: when it repeats, two tests settle M(k).
@@ -313,7 +339,7 @@ def _packed_steps(letters: list, size: int, exact=None):
         if at_max:
             # One run: neighbours at M trade letters of one log, so of one weight.
             end = band.bit_length() // width  # past the last one
-            if band == guards >> width * (n - end + start) << width * start:
+            if band == guards >> width * (kept - end + start) << width * start:
                 return window(start, k), start
             while distinct < k and level:
                 grown = {total + log for total in level for log in up}
@@ -334,7 +360,15 @@ def _packed_steps(letters: list, size: int, exact=None):
             return window(start, k), start
         return _exact_max(band, row, counted & (1 << real) - 1, size, k, window)
 
+    kept, cut = n, n - n // _CUT_SHARE  # fields in the rows; cut them below ``cut`` live windows
     for k in range(n):
+        if n - k < cut:  # drop the fields above the live windows
+            kept = n - k
+            cut = kept - kept // _CUT_SHARE
+            mask = (1 << width * kept) - 1
+            row &= mask
+            ones &= mask
+            guards &= mask
         row += packed >> width * k
         hit = above = 0
         if best + step < guard:
@@ -494,8 +528,8 @@ def weight_profile(measure: "WeightMeasure", word: "Word") -> WeightProfile:
     return WeightProfile(
         word=word,
         measure=measure,
-        factor_max=tuple(MonoidValue(kind, v) for v in f),
-        prefix=tuple(MonoidValue(kind, v) for v in p),
+        factor_max=tuple(computed_value(kind, v) for v in f),
+        prefix=tuple(computed_value(kind, v) for v in p),
         factor_starts=tuple(starts),
     )
 

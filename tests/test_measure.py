@@ -40,7 +40,7 @@ from prefixnorm import (
     stepped_step,
     subset_measure,
 )
-from prefixnorm.measure import _is_prime
+from prefixnorm.measure import _PRIME_EXACT_BELOW, _is_prime
 
 
 # --- alphabets and words ---------------------------------------------------
@@ -260,6 +260,13 @@ def test_prime_flag_refuses_beyond_the_exact_bound():
     # 2^89 - 1 is prime, but no Miller-Rabin base up to 41 proves that there.
     with pytest.raises(CapacityExceeded, match="Miller"):
         classify(product_measure(BITS, 3, 2**89 - 1))
+
+
+def test_prime_flag_refuses_the_exact_bound_itself():
+    # The bound is a strong pseudoprime to all 13 bases, so no witness
+    # shows it composite, and it is the first number the bases cannot decide.
+    with pytest.raises(CapacityExceeded, match="Miller"):
+        _is_prime(_PRIME_EXACT_BELOW)
 
 
 # --- gapfreeness decision ----------------------------------------------------

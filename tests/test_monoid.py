@@ -257,3 +257,20 @@ def test_window_products_decode_every_window():
     asks += [(start, rng.randrange(1, 301 - start)) for start in rng.choices(range(300), k=200)]
     for start, size in asks:
         assert window(start, size) == prod(letters[start:start + size])
+
+
+def test_window_products_extend_only_a_window_one_letter_longer():
+    # Windows at the last start, or one before it, of any size but one
+    # letter longer than the last: the product is not the last one extended.
+    # The random walk starts afresh wherever it reaches start 0.
+    rng = random.Random(6)
+    letters = [rng.choice((2, 3, 5, 7, 10**40)) for _ in range(300)]
+    window = window_products(letters)
+    asks = [(10, 5), (10, 5), (10, 3), (9, 9), (9, 1), (8, 3), (8, 2), (7, 40), (7, 39), (6, 41), (6, 41)]
+    start, size = asks[-1]
+    for _ in range(200):
+        start = start - rng.randrange(2) if start else rng.randrange(300)
+        size = rng.choice([s for s in range(1, 301 - start) if s != size + 1])
+        asks.append((start, size))
+    for start, size in asks:
+        assert window(start, size) == prod(letters[start:start + size])

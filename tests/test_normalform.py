@@ -135,6 +135,19 @@ def test_equivalence_class_respects_limit():
     assert info.value.count == 3**6
 
 
+@pytest.mark.parametrize(
+    "measure, word",
+    [
+        (standard_measure(ABC), Word(ABC, ())),
+        (standard_measure(Alphabet(("a",))), Word(Alphabet(("a",)), (0,) * 5)),
+    ],
+    ids=["empty", "one-letter"],
+)
+def test_a_limit_of_one_answers_a_class_of_one_word(measure, word):
+    assert equivalence_class(measure, word, limit=1) == {word}
+    assert prefix_normal_set(measure, word, limit=1) == {word}
+
+
 ABCD = Alphabet(("a", "b", "c", "d"))
 # Three letters share one weight: the walk searches 2^n projected words.
 TRIPLE = sum_measure(ABCD, 1, 1, 1, 2)

@@ -727,3 +727,42 @@ def test_gap_steps_settle_alike_by_bisection_and_by_reading_the_windows(monkeypa
         assert factor_max_payloads(LONG_VEC.payloads, indices, (0, 0), comb) == loops
         steps = list(factor_max_steps(LONG_VEC.payloads, indices, comb))
         assert steps == list(zip(loops[0][1:], loops[1][1:]))
+
+
+def test_packed_rows_keep_only_the_live_windows(monkeypatch):
+    # A random vec2-lex word reads hundreds of rows through ``_heaviest``;
+    # past the first few lengths each must hold about the live windows
+    # alone, not a field for every letter of the word.
+    read = _calls(monkeypatch, "_heaviest")
+    word = _random_word(LONG_VEC, 600, 600)
+    comb = payload_combine(MonoidKind.VEC2_LEX)
+    sizes = []  # (live windows, fields of the row read) per read
+    for k, _ in enumerate(factor_max_steps(LONG_VEC.payloads, word.indices, comb), 1):
+        sizes += [(601 - k, -(-row.bit_length() // (8 * size))) for row, _, size in read[len(sizes):]]
+    assert len(sizes) > 100 and max(live for live, _ in sizes) > 500 and min(live for live, _ in sizes) < 100
+    assert all(fields <= live + live // 7 + 1 for live, fields in sizes)
+
+
+@pytest.mark.parametrize("n", [250, 400, 2000])
+def test_sorted_product_words_need_no_count_digits(monkeypatch, n):
+    # Each length's band is one run of windows at the maximum, so the
+    # one-run test settles it before the count digits are built.
+    digits = _calls(monkeypatch, "_prefix_digits")
+    weights = LONG_PRODUCT.payloads
+    rng = random.Random(n)
+    for _ in range(2):
+        indices = sorted((rng.randrange(4) for _ in range(n)), key=weights.__getitem__, reverse=True)
+        assert is_prefix_normal(LONG_PRODUCT, Word(LONG_PRODUCT.alphabet, tuple(indices)))
+        assert factor_max_payloads(weights, indices, 1, payload_combine(MonoidKind.NAT_PRODUCT))[1] == [0] * (n + 1)
+    assert digits == []
+
+
+@pytest.mark.parametrize("measure, n", [(MU, 60), (LONG_PRODUCT, 200), (LONG_VEC, 60)], ids=["sum", "product", "vec2"])
+def test_profile_values_are_the_checked_values(measure, n):
+    result = weight_profile(measure, _random_word(measure, n, 3))
+    for got in result.factor_max + result.prefix:
+        checked = MonoidValue(measure.kind, got.payload)
+        assert got == checked and hash(got) == hash(checked) and vars(got) == vars(checked)
+        assert type(got) is MonoidValue
+    with pytest.raises(ValueError):
+        MonoidValue(measure.kind, -1)
