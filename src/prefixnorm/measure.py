@@ -141,6 +141,20 @@ class Word:
         return self.alphabet.separator.join(self.tokens())
 
 
+def computed_word(alphabet: Alphabet, indices: tuple[int, ...]) -> Word:
+    """``Word(alphabet, indices)`` for an index tuple the package computed from checked ones, unchecked.
+
+    Set like ``monoid.computed_value``: two ``object.__setattr__`` calls,
+    so the word keeps CPython's key-sharing instance dict and equals,
+    hashes and ``vars()`` like a checked one.  Public construction still
+    checks every index.
+    """
+    word = object.__new__(Word)
+    object.__setattr__(word, "alphabet", alphabet)
+    object.__setattr__(word, "indices", indices)
+    return word
+
+
 def parikh(word: Word) -> tuple[int, ...]:
     """Letter-occurrence counts in alphabet order."""
     counts = [0] * len(word.alphabet)

@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from operator import mul
+from operator import floordiv, sub
 
 from .errors import DEFAULT_LIMIT, refuse, refuse_power
-from .measure import Word, WeightMeasure
-from .monoid import int_view
+from .measure import Word, WeightMeasure, computed_word
+from .monoid import MonoidKind, int_view
 from .profile import _factor_max_ints, factor_max_steps
 
 
@@ -100,14 +100,15 @@ def _members(measure: WeightMeasure, projected_words: list, limit: int, what: st
 
     Refuses more than ``limit`` of them before it builds any word.  The
     projection of an injective measure renames no letter, so its tuples
-    are the words themselves.
+    are the words themselves.  Every index comes from the measure's own
+    letter classes, so the words are built unchecked.
     """
     refuse(_expansion(measure, projected_words), what, limit)
     classes, alphabet = measure.projected.classes, measure.alphabet
     if len(classes) == len(alphabet):
-        return {Word(alphabet, projected) for projected in projected_words}
+        return {computed_word(alphabet, projected) for projected in projected_words}
     return {
-        Word(alphabet, combo)
+        computed_word(alphabet, combo)
         for projected in projected_words
         for combo in product(*map(classes.__getitem__, projected))
     }
@@ -136,18 +137,31 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
     target, equal the word's; without, the prefix-normal words.  Every
     suffix of a node is a factor of each word below it, so a node is cut
     when a suffix outweighs the target (for prefix-normal words: the node's
-    own prefix) of the same length, or when its weight cannot reach the
-    target's total even when followed by the heaviest factor of the
-    remaining length.
+    own prefix) of the same length.
 
     As no factor of a surviving target-mode node outweighs the target, the
     node keeps one flag per length instead of maxima: whether some factor
-    attains the target.  A word is a member when every flag is set.  A
-    length longer than the letters still to come can only be attained by a
-    factor that starts in the node and ends in those letters, so a node is
-    also cut when no suffix of it, combined with the target of each
-    remaining length, reaches an unattained length's target.  For the last
-    letter this is the member test itself.
+    attains the target.  A word is a member when every flag is set.
+
+    Budget cut (target mode).  Every member weighs the target's total W,
+    so the L letters after a child of weight v weigh exactly B = W − v on
+    the additive views and B = W / v on nat-product, where a v that does
+    not divide W has no member below it and is cut.  Each of those letters
+    weighs at least the lightest, w, so i of them weigh at most cap_i, the
+    least of target[i] and B less the lightest L − i letters: B − (L − i)·w
+    on the additive views, B // w^(L − i) on nat-product.  A child whose B
+    exceeds target[L] or falls below the lightest L letters is cut, which
+    is one window of weights per depth.  A factor of a member below the
+    child lies in the child, or is a suffix of k ≥ 0 of its letters
+    followed by i ≥ 1 letters to come, weighing at most suffix_k ∘ cap_i
+    (suffix_0, the identity, for a factor wholly in the letters to come).
+    So a child is also cut when a length 1..n that no factor of it attains
+    has no such k and i with suffix_k ∘ cap_i ≥ target[k + i].  For the
+    last letter this is the member test itself.  The bounds assume a
+    member below the child, so where there is none a cut loses nothing.
+    On folded vec2-lex ints they hold as on pairs: folding is exact and
+    keeps the order for sums of at most ``length`` letters, so the ints of
+    a member's letters add up to W as the pairs do.
 
     Payloads are walked as ``monoid.int_view`` of the identity and the
     projected weights, bounded by ``length`` letters, and never decoded:
@@ -168,13 +182,16 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
     * prefix-normal mode: the node also keeps its prefix weights, guards
       added, and a child is cut unless ``(prefixes - grown) & guards ==
       guards``; a survivor's new prefix is its longest suffix.  O(1)
-      big-int operations a child;
+      big-int operations a child.  A node of depth ``length - 1`` yields
+      its surviving children in letter order instead of pushing them;
     * target mode: ``diff = target + guards - grown`` cuts a child whose
       suffix outweighs the target, and ``guards & ~(diff - ones)`` are the
-      lengths it hits.  The due test compares, for each i of the ``left``
-      letters still to come, the suffixes shifted up i fields and combined
-      with target[i] against the target in one step, and stops once every
-      due length is reached: O(left) big-int operations a child.
+      lengths it hits.  The due test combines, for each i of the ``left``
+      letters still to come, the suffixes shifted up i fields with cap_i,
+      compares them with the target in one step, and stops once every
+      length 1..n is reached: O(left) big-int operations a child.  On the
+      additive views cap_i goes into fields i..n only: the fields below i
+      hold no suffix, and a cap there would mark a shorter length.
 
     The fields grow with the letter weights: ``length`` times the bits of
     the heaviest nat-product weight.  Against a walk that combines
@@ -188,19 +205,20 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
     The walk keeps an explicit stack: a self-recursive closure would form a
     reference cycle holding every call's frame until a full collection.
     A one-letter Σ′ has one word of each length, prefix normal and the only
-    candidate for any target, so it is yielded without a walk.
+    candidate for any target, so it is yielded without a walk, and so is
+    the one word of length 0.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     if word is not None and len(word.indices) != length:
         raise ValueError(f"the word has {len(word.indices)} letters, not {length}")
     refuse_power(len(measure.projected.classes), length, "candidate words", limit)
-    if len(measure.projected.classes) == 1:
+    if len(measure.projected.classes) == 1 or not length:
         yield (0,) * length
         return
     weights = (measure.identity_payload, *measure.projected.measure.payloads)
     (ident, *ws), comb, _ = int_view(weights, measure.combine, length)
-    product_view = comb is mul
+    product_view = measure.kind is MonoidKind.NAT_PRODUCT
     width = (max(ws) ** length if product_view else max(ws) * length).bit_length() + 1
     ones = [0]  # ones[k]: a 1 in each of the fields 0..k-1
     for _ in range(length + 2):
@@ -214,13 +232,16 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
         for one in ones[1:length + 1]
     ]
     if word is None:
+        leaf = length - 1
         # Per depth: the children's steps, the guards of fields 0..depth, the
-        # bits of field depth+1 and the guard of field depth+2.
+        # bits of field depth+1 and the guard of field depth+2.  A node of
+        # the last depth yields its children in letter order, unpushed.
         field = (1 << width) - 1
         levels = [
             (steps[d], guards[d + 1], field << width * (d + 1), guards[d + 3] ^ guards[d + 2])
-            for d in range(length)
+            for d in range(leaf)
         ]
+        leaves, leaf_mask = steps[leaf][::-1], guards[length]
         # Per node: its letters, its suffixes, and its prefixes plus the
         # guards of fields 0..depth+1.  Field depth+1 holds a bare guard,
         # so the borrow from it stays above the mask.
@@ -228,8 +249,10 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
         while stack:
             indices, suffixes, prefixes = stack.pop()
             depth = len(indices)
-            if depth == length:
-                yield indices
+            if depth == leaf:
+                for letter, _, step in leaves:
+                    if (prefixes - (comb(suffixes, step) << width | ident)) & leaf_mask == leaf_mask:
+                        yield indices + (letter,)
                 continue
             children, mask, last, guard = levels[depth]
             for letter, _, step in children:
@@ -241,22 +264,28 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
     target, _ = _factor_max_ints([ws[class_of[i]] for i in word.indices], ident, comb)
     packed = sum(t << width * k for k, t in enumerate(target))
     whole = target[length]
-    # Per i: target[i] in every field (nat-product multiplies by it); the
-    # guards less the target are added after the combine.
-    ends = [t if product_view else t * ones[length + 1] for t in target]
+    # The guards less the target, added after each combine of the due test,
+    # which asks for every length 1..n.
     offset = guards[length + 1] - packed
-    # Per depth: the children's steps, the letters still to come after a
-    # child, the target of that many letters and of the child's, the guards
-    # and the ones of fields 0..depth+1, and the guards of lengths
-    # left+1..depth+1.
+    due_mask = guards[length + 1] ^ guards[1]
+    # What is left of a budget once some letters are taken off it, the
+    # least weight j letters have, and where a cap of i letters goes: into
+    # fields i..n, as the fields below i hold no suffix to add it to.
+    less = floordiv if product_view else sub
+    lightest = min(ws)
+    lighter = [lightest**j if product_view else lightest * j for j in range(length)]
+    spread = [1 if product_view else ones[length + 1] - ones[i] for i in range(length)]
+    # Per depth: the children's steps, the window of weights a child may
+    # have, the guards and the ones of fields 0..depth+1, and for each i of
+    # the letters still to come: target[i], the least weight of the other
+    # letters still to come, and the cap's fields.
     levels = []
     for depth in range(length):
         left = length - depth - 1
-        mask = guards[depth + 2]
-        due_mask = mask & ~guards[left + 1]
-        levels.append(
-            (steps[depth], left, target[left], target[depth + 1], mask, ones[depth + 2], due_mask)
-        )
+        low = -(-whole // target[left]) if product_view else whole - target[left]
+        high = min(target[depth + 1], less(whole, lighter[left]))
+        spans = [(target[i], lighter[left - i], spread[i]) for i in range(1, left + 1)]
+        levels.append((steps[depth], low, high, guards[depth + 2], ones[depth + 2], spans))
     # Per node: its letters, its suffixes, the guards of the lengths some
     # factor of it attains, and its weight.
     stack = [((), ident, guards[1], ident)]
@@ -266,26 +295,30 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
         if depth == length:
             yield indices
             continue
-        children, left, rest, reached, mask, below, due_mask = levels[depth]
+        children, low, high, mask, below, spans = levels[depth]
         for letter, w, step in children:
             weight = comb(total, w)
-            if weight > reached or comb(weight, rest) < whole:
+            if not low <= weight <= high:
                 continue
+            if product_view:
+                budget, rest = divmod(whole, weight)
+                if rest:
+                    continue
+            else:
+                budget = whole - weight
             grown = comb(suffixes, step) << width | ident
             diff = packed + mask - grown
             if diff & mask != mask:
                 continue
             hit = hits | mask & ~(diff - below)
-            # A length above ``left`` that no factor attains yet needs a factor
-            # that ends in the letters to come: a suffix of the child followed
-            # by i of them, which weighs at most that suffix times target[i].
             due = hit & due_mask
             shifted = grown
-            for i in range(1, left + 1):
+            for t, light, span in spans:
                 if due == due_mask:
                     break
                 shifted <<= width
-                due |= comb(shifted, ends[i]) + offset & due_mask
+                cap = less(budget, light)
+                due |= comb(shifted, (t if t < cap else cap) * span) + offset & due_mask
             if due == due_mask:
                 stack.append((indices + (letter,), grown, hit, weight))
 

@@ -252,6 +252,66 @@ def test_the_walk_compares_exact_products_where_the_profile_takes_the_log_view(m
     assert len(packed) == 2
 
 
+def test_the_budget_cut_bounds_the_combines_of_a_class_walk(monkeypatch):
+    # A member's letters after a node must weigh the rest of the word's
+    # total, so at most that budget less the lightest of the others fits
+    # in i of them.  Without the cut, the class of accaaaab took 2 557
+    # combines under (2, 3, 5) and 2 566 under (1, 2, 3); without the
+    # divisibility cut 464 under (2, 3, 5), and with the due test only for
+    # lengths above the letters still to come 674 and 1 488.
+    calls = []
+
+    def counting(*args):
+        ints, comb, decode = real(*args)
+
+        def counted(a, b):
+            calls.append(None)
+            return comb(a, b)
+
+        return ints, counted, decode
+
+    real = normalform.int_view
+    monkeypatch.setattr(normalform, "int_view", counting)
+    for measure, bound in ((product_measure(ABC, 2, 3, 5), 420), (sum_measure(ABC, 1, 2, 3), 500)):
+        calls.clear()
+        word = w(ABC, "accaaaab")
+        members = equivalence_class(measure, word)
+        assert len(calls) <= bound
+        assert members == brute_equivalence_class(measure, word)
+
+
+@pytest.mark.parametrize(
+    "measure, n",
+    [(sum_measure(ABC, 1, 2, 3), 6), (product_measure(ABC, 2, 3, 5), 6), (VEC_FIXTURE, 6), (TRIPLE, 5)],
+    ids=["sum-123", "product-235", "vec-lex", "sum-1-1-1-2"],
+)
+def test_walk_words_yields_in_lexicographic_order(measure, n):
+    # Leaves of the prefix-normal walk are yielded without a push, in
+    # letter order; class leaves are popped off the stack.
+    size = len(measure.projected.classes)
+    projected = measure.projected.measure
+    candidates = [Word(projected.alphabet, c) for c in itertools.product(range(size), repeat=n)]
+    assert list(normalform.walk_words(measure, n)) == [
+        word.indices for word in candidates if is_prefix_normal(projected, word)
+    ]
+    for word in random.Random(n).sample(candidates, 20):
+        target = weight_profile(projected, word).factor_max
+        assert list(normalform.walk_words(projected, n, word)) == [
+            other.indices for other in candidates if weight_profile(projected, other).factor_max == target
+        ]
+
+
+def test_class_members_are_words_like_checked_ones():
+    measure = sum_measure(ABC, 1, 2, 2)
+    for indices in ((0, 1, 2, 1, 0), (2, 2, 1, 0, 0, 1, 0)):
+        for member in equivalence_class(measure, Word(ABC, indices)):
+            checked = Word(ABC, member.indices)
+            assert member == checked and hash(member) == hash(checked) and vars(member) == vars(checked)
+            assert type(member) is Word and type(member.indices) is tuple
+    with pytest.raises(ValueError, match="out of range"):
+        Word(ABC, (0, 3))
+
+
 @pytest.mark.parametrize(
     "measure, counts",
     [

@@ -175,10 +175,15 @@ def test_brute_set_agrees_with_fast_path_on_random_words():
         (sum_measure(ANCB, 1, 3, 3, 4), 4),
         # Weights past 2^64: a product of five letters needs over 320 bits.
         (product_measure(ABC, 2**64 + 1, 2**65 + 3, 2**66 - 1), 5),
+        # The budget cut on gapful weights, on products whose quotients
+        # are not letter weights, and on four letters sharing a weight.
+        (sum_measure(ABC, 1, 2, 4), 6),
+        (product_measure(ABC, 4, 6, 9), 6),
+        (sum_measure(ANCB, 1, 2, 2, 3), 5),
     ],
     ids=[
         "sum-123", "sum-122", "product-235", "product-2-6-18", "vec-lex", "vec-tied",
-        "vec-second-heavy", "sum-1334", "product-past-2-64",
+        "vec-second-heavy", "sum-1334", "product-past-2-64", "sum-124", "product-4-6-9", "sum-1223",
     ],
 )
 def test_equivalence_class_matches_brute_force_on_all_short_words(measure, max_len):

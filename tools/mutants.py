@@ -100,8 +100,27 @@ MUTANTS = (
     Mutant(
         "walk-due-test-reads-one-target-short",
         "src/prefixnorm/normalform.py",
-        "due |= comb(shifted, ends[i]) + offset & due_mask",
-        "due |= comb(shifted, ends[i - 1]) + offset & due_mask",
+        "spans = [(target[i], lighter[left - i], spread[i])",
+        "spans = [(target[i - 1], lighter[left - i], spread[i])",
+    ),
+    # The class walk's budget cut.
+    Mutant(
+        "walk-cap-takes-one-letter-too-many",
+        "src/prefixnorm/normalform.py",
+        "(target[i], lighter[left - i], spread[i])",
+        "(target[i], lighter[left - i + 1], spread[i])",
+    ),
+    Mutant(
+        "walk-drops-the-divisibility-cut",
+        "src/prefixnorm/normalform.py",
+        "                if rest:\n                    continue\n",
+        "",
+    ),
+    Mutant(
+        "walk-due-mask-only-above-left",
+        "src/prefixnorm/normalform.py",
+        "            due = hit & due_mask\n",
+        "            due = (hit | guards[length - depth]) & due_mask\n",
     ),
     Mutant(
         "running-kernel-seeded-with-the-identity",
