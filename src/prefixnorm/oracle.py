@@ -17,21 +17,26 @@ sweep, whose own scan checks the fast kernel.  The binary count walks the
 trie, yet refuses n as if it scanned all 2^n words.  ``_scan`` also
 refuses by its kernel cells, which bounds a one-letter scan.
 
-Every sweep is a deterministic stream of cases, each a tuple of
-measures, and a check ``check(*case) -> (cases, problems)``, both run by
-the one driver ``_sweep``.  It counts the cases and writes one replayable
-line per problem, the case's measures joined by ``vs`` and then the
-problem: ``measure[…] | [word … |] problem`` for one measure,
+Every verify suite is one record, ``_Suite``: the sizes it declares, each
+with its default and least value, a deterministic stream of cases
+``cases(seed, **sizes)`` and a check of one case.  A case is the
+arguments of its check, measures first (``equivalence``'s cases lead with
+which of its three checks they need), and the check takes the run's
+sizes after them as one mapping: ``check(*case, sizes) -> (count,
+problems)``.  The one driver ``_sweep`` counts the cases, stops a stream
+once it has counted the suite's ``cases``, and writes one replayable line
+per problem, the case's measures joined by ``vs`` and then the problem:
+``measure[…] | [word … |] problem`` for one measure,
 ``measure[…] vs measure[…] | problem`` for a pair.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
+import math
 import random
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -384,43 +389,67 @@ def corpus_measures(seed: int = DEFAULT_SEED) -> tuple[WeightMeasure, ...]:
 # Suites
 
 
-def _sweep(cases, check, stop: int | None = None) -> tuple[int, list[str]]:
-    """Sum ``check(*case) -> (cases, problems)`` over cases of measures; one line per problem.
+@dataclass(frozen=True)
+class _Suite:
+    """One verify suite: its declared sizes, a seeded case stream and the check of one case.
+
+    ``sizes`` maps each size the suite declares to ``(default, least)``.
+    ``cases(seed, **sizes)`` yields each case as the arguments of its
+    check, measures first.  ``check(*case, sizes) -> (count, problems)``
+    checks one case; it takes the run's sizes as one mapping, built once
+    per run, not as keywords built anew per case.
+    """
+
+    cases: Callable
+    check: Callable
+    sizes: Mapping = field(default_factory=dict)
+
+
+def _sweep(suite: _Suite, seed: int, sizes: dict) -> tuple[int, list[str]]:
+    """Sum the suite's check over its cases; one line per problem.
 
     A line names the case's measures, joined by ``vs``, then the problem.
-    Given ``stop``, stop after the case that brings the count to it.
+    A suite that declares ``cases`` may stream without end: the sweep stops
+    after the case that brings the count to it.
     """
+    stop = sizes.get("cases", math.inf)
     count = 0
     violations: list[str] = []
-    for case in cases:
-        done, problems = check(*case)
+    for case in suite.cases(seed, **sizes):
+        done, problems = suite.check(*case, sizes)
         count += done
         if problems:
-            head = " vs ".join(map(measure_line, case))
+            head = " vs ".join(measure_line(m) for m in case if isinstance(m, WeightMeasure))
             violations.extend(f"{head} | {problem}" for problem in problems)
-        if stop is not None and count >= stop:
+        if count >= stop:
             break
     return count, violations
 
 
-def _word_sweep(check, default_max_len: int = 6):
-    """A suite that runs ``check(measure, indices)`` on seeded random cases.
+def _word_cases(seed: int, cases: int, max_len: int):
+    """Endless seeded ``(measure, indices)`` cases; ``_sweep`` stops them at ``cases``.
 
     Each case draws a measure from a seeded pool of 200, then a word of at
-    most ``max_len`` letters.  A check returns None, or a problem that
-    becomes one replayable counterexample line.
+    most ``max_len`` letters.
+    """
+    rng = random.Random(seed)
+    pool = [_random_measure(rng) for _ in range(200)]
+    while True:
+        measure = rng.choice(pool)
+        yield measure, tuple(
+            rng.randrange(len(measure.alphabet)) for _ in range(rng.randint(0, max_len))
+        )
+
+
+def _word_check(check):
+    """The suite check of ``check(measure, indices)``, which returns None or a problem.
+
+    A problem becomes one line that names the word.
     """
 
-    def run(seed: int, cases: int = 10_000, max_len: int = default_max_len):
-        rng = random.Random(seed)
-        pool = [_random_measure(rng) for _ in range(200)]
-
-        def check_word(measure):
-            idx = tuple(rng.randrange(len(measure.alphabet)) for _ in range(rng.randint(0, max_len)))
-            problem = check(measure, idx)
-            return 1, (f"word {Word(measure.alphabet, idx)} | {problem}",) if problem else ()
-
-        return _sweep(zip(rng.choice(pool) for _ in range(cases)), check_word)
+    def run(measure, idx, sizes):
+        problem = check(measure, idx)
+        return 1, (f"word {Word(measure.alphabet, idx)} | {problem}",) if problem else ()
 
     return run
 
@@ -564,7 +593,23 @@ def _random_stepped_measure(rng: random.Random) -> WeightMeasure:
     return WeightMeasure(alphabet, kind, payloads)
 
 
-def _check_exchange(measure: WeightMeasure) -> tuple[int, list[str]]:
+def _exchange_cases(seed: int, cases: int):
+    """Three fixtures, then endless seeded stepped measures; ``_sweep`` stops them at ``cases``."""
+    yield (_VECTOR,)
+    yield (WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, (4, 6, 9)),)
+    yield (standard_measure(Alphabet(("a", "b", "c", "d"))),)
+    rng = random.Random(seed)
+    while True:
+        yield (_random_stepped_measure(rng),)
+
+
+def _check_exchange(measure: WeightMeasure, sizes) -> tuple[int, list[str]]:
+    """Weight-exchange identity for gapfree injective weight-ordered measures.
+
+    With letters sorted by weight, moving y positions from one letter to
+    the other inside a two-letter word never changes the word's weight:
+    w_i . w_{i+x} == w_{i+y} . w_{i+x-y}.  Each triple is one case.
+    """
     ws, comb = measure.payloads, measure.combine
     size = len(ws)
     triples = [(i, x, y) for i in range(size) for x in range(2, size - i) for y in range(1, x)]
@@ -573,25 +618,6 @@ def _check_exchange(measure: WeightMeasure) -> tuple[int, list[str]]:
         for i, x, y in triples
         if comb(ws[i], ws[i + x]) != comb(ws[i + y], ws[i + x - y])
     ]
-
-
-def _suite_exchange(seed: int, cases: int = 10_000):
-    """Weight-exchange identity for gapfree injective weight-ordered measures.
-
-    With letters sorted by weight, moving y positions from one letter to
-    the other inside a two-letter word never changes the word's weight:
-    w_i . w_{i+x} == w_{i+y} . w_{i+x-y}.
-    """
-    rng = random.Random(seed)
-    fixtures = [
-        standard_measure(Alphabet(("a", "b", "c", "d"))),
-        WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, (4, 6, 9)),
-        _VECTOR,
-    ]
-    measures = (
-        fixtures.pop() if fixtures else _random_stepped_measure(rng) for _ in itertools.count()
-    )
-    return _sweep(zip(measures), _check_exchange, cases)
 
 
 def _check_gap_decision(
@@ -621,38 +647,47 @@ def _check_gap_decision(
     return 1, []
 
 
-def _check_prime_gapful(measure: WeightMeasure) -> tuple[int, list[str]]:
+def _prime_cases(seed: int):
+    """Every product measure with three distinct prime weights up to 20; the seed draws nothing."""
+    primes = [p for p in range(2, 21) if all(p % d for d in range(2, p))]
+    triples = itertools.combinations(primes, 3)
+    return zip(WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, triple) for triple in triples)
+
+
+def _check_prime_gapful(measure: WeightMeasure, sizes) -> tuple[int, list[str]]:
+    """A product measure of three distinct primes has a gap, with a well-shaped witness."""
     gap = find_gap(measure)
     done, problems = _check_gap_decision(measure, 4, gap)
     return done, problems if gap else [*problems, "classified gapfree"]
 
 
-def _suite_prime_gapful(seed: int):
-    """Every product measure with three distinct prime weights up to 20 has a gap."""
-    primes = [p for p in range(2, 21) if all(p % d for d in range(2, p))]
-    measures = (
-        WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, triple)
-        for triple in itertools.combinations(primes, 3)
-    )
-    return _sweep(zip(measures), _check_prime_gapful)
-
-
-def _suite_vector_gapfree(seed: int, max_len: int = 6):
+def _check_vector_gapfree(measure: WeightMeasure, sizes) -> tuple[int, list[str]]:
     """The vector measure (0,2),(1,1),(2,0) is gapfree yet has no step."""
-
-    def check(measure):
-        gap = find_gap(measure)
-        _, problems = _check_gap_decision(measure, max_len, gap)
-        if gap is not None:
-            problems.append("decision procedure reported a gap")
-        if stepped_step(measure) is not None:
-            problems.append("unexpected step found")
-        return sum(len(measure.alphabet) ** n for n in range(1, max_len + 1)) + 2, problems
-
-    return _sweep([(_VECTOR,)], check)
+    max_len = sizes["max_len"]
+    gap = find_gap(measure)
+    _, problems = _check_gap_decision(measure, max_len, gap)
+    if gap is not None:
+        problems.append("decision procedure reported a gap")
+    if stepped_step(measure) is not None:
+        problems.append("unexpected step found")
+    return sum(len(measure.alphabet) ** n for n in range(1, max_len + 1)) + 2, problems
 
 
-def _check_stepped_gapfree(measure: WeightMeasure) -> tuple[int, list[str]]:
+def _stepped_cases(seed: int, cases: int):
+    """Endless seeded measures, two in five stepped; ``_sweep`` stops them at ``cases``."""
+    rng = random.Random(seed)
+    while True:
+        yield (_random_stepped_measure(rng) if rng.random() < 0.4 else _random_measure(rng),)
+
+
+def _check_stepped_gapfree(measure: WeightMeasure, sizes) -> tuple[int, list[str]]:
+    """Stepped base weights imply gapfreeness; the converse needs reachable steps.
+
+    For non-binary measures whose carrier can express every pairwise
+    difference of base weights, gapfree and stepped coincide.  Without that
+    precondition only the forward implication is claimed (product weights
+    (4,6,9) are gapfree but unstepped).
+    """
     step = stepped_step(measure)
     gapfree = find_gap(measure) is None
     if step is not None and not gapfree:
@@ -667,44 +702,16 @@ def _check_stepped_gapfree(measure: WeightMeasure) -> tuple[int, list[str]]:
     return 1, []
 
 
-def _suite_stepped_gapfree(seed: int, cases: int = 3_000):
-    """Stepped base weights imply gapfreeness; the converse needs reachable steps.
-
-    For non-binary measures whose carrier can express every pairwise
-    difference of base weights, gapfree and stepped coincide.  Without that
-    precondition only the forward implication is claimed (product weights
-    (4,6,9) are gapfree but unstepped).
-    """
-    rng = random.Random(seed)
-    measures = (
-        _random_stepped_measure(rng) if rng.random() < 0.4 else _random_measure(rng)
-        for _ in range(cases)
-    )
-    return _sweep(zip(measures), _check_stepped_gapfree)
-
-
-def _corpus(seed: int, max_len: int) -> tuple[WeightMeasure, ...]:
-    """The corpus, unless its words of length ``max_len`` are too many to scan."""
+def _corpus_cases(seed: int, max_len: int):
+    """The corpus, a measure a case, unless its words of length ``max_len`` are too many to scan."""
     measures = corpus_measures(seed)
     refuse_power(max(len(m.alphabet) for m in measures), max_len, "words")
     total = sum(len(m.alphabet) ** max_len for m in measures)
     refuse(total, f"corpus words of length {max_len}", _CORPUS_LIMIT)
-    return measures
+    return zip(measures)
 
 
-def _suite_trichotomy(seed: int, max_len: int = 5):
-    """Class-count predictions versus brute force over the whole corpus."""
-    return _sweep(zip(_corpus(seed, max_len)), lambda measure: _check_trichotomy(measure, max_len))
-
-
-def _suite_gap_decision(seed: int, max_len: int = 6):
-    """Fast gapfreeness decision versus exhaustive search, witness shape included."""
-    return _sweep(
-        zip(_corpus(seed, max_len)), lambda m: _check_gap_decision(m, max_len, find_gap(m))
-    )
-
-
-def _suite_equivalence(seed: int, max_len: int = 6):
+def _equivalence_cases(seed: int, max_len: int):
     """Equivalence of gapfree injective weight-ordered measures.
 
     The sum measure (2,4,6) and the product measure (2,6,18) must be
@@ -714,19 +721,18 @@ def _suite_equivalence(seed: int, max_len: int = 6):
     transitivity, to each other) and must produce the standard normal form
     for every word of at most 5 letters.  Equivalent pairs among 60 sampled
     from one alphabet must also agree on the injective / ordered / gapfree
-    flags, compared up to length 4.
+    flags, compared up to length 4.  Each case leads with the one of these
+    three checks it needs.
     """
-    fixture = (
+    yield (
+        _check_fixture,
         WeightMeasure(_ABC, MonoidKind.NAT_SUM, (2, 4, 6)),
         WeightMeasure(_ABC, MonoidKind.NAT_PRODUCT, (2, 6, 18)),
     )
 
-    def check_fixture(first, second):
-        equivalent = bounded_equivalence(first, second, max_len).equivalent
-        return 1, [] if equivalent else [f"expected equivalence up to length {max_len}"]
-
-    # Every word of at most 5 letters with its standard normal form.  The
-    # measures come sorted by alphabet, so the cache holds one at a time.
+    # Every word of at most 5 letters with its standard normal form, kept for
+    # this run only.  The measures come sorted by alphabet, so the cache holds
+    # one at a time.
     @lru_cache(maxsize=1)
     def standard_forms(alphabet):
         std = standard_measure(alphabet)
@@ -735,44 +741,51 @@ def _suite_equivalence(seed: int, max_len: int = 6):
             (indices, prefix_normal_form(std, Word(alphabet, indices))) for indices, _, _ in scan
         ]
 
-    def check_standard(measure):
-        flags = classify(measure)
-        if not (flags.gapfree and flags.injective and flags.alphabetically_ordered):
-            return 0, []
-        report = bounded_equivalence(measure, standard_measure(measure.alphabet), max_len)
-        if not report.equivalent:
-            return 1, [f"not equivalent to the standard measure: {report.describe()}"]
-        forms = standard_forms(measure.alphabet)
-        for done, (indices, reference) in enumerate(forms, 2):
-            word = Word(measure.alphabet, indices)
-            mine = prefix_normal_form(measure, word)
-            if not (isinstance(mine, UniqueNormalForm) and mine == reference):
-                return done, [f"word {word} | normal form differs from the standard measure's"]
-        return 1 + len(forms), []
-
-    # Sampled equivalent pairs keep their classification flags in sync.
-    def check_pair(first, second):
-        if not bounded_equivalence(first, second, 4).equivalent:
-            return 1, []
-        a, b = classify(first), classify(second)
-        agree = (
-            a.injective == b.injective
-            and a.alphabetically_ordered == b.alphabetically_ordered
-            and a.gapfree == b.gapfree
-        )
-        return 1, [] if agree else ["equivalent pair with diverging classifications"]
-
     corpus = sorted(corpus_measures(seed), key=lambda m: m.alphabet.letters)
+    for measure in corpus:
+        yield _check_standard, measure, standard_forms
     groups = (list(same) for _, same in itertools.groupby(corpus, lambda m: m.alphabet.letters))
     eligible = [group for group in groups if len(group) >= 2]
     rng = random.Random(seed)
-    pairs = (rng.sample(rng.choice(eligible), 2) for _ in range(60 if eligible else 0))
-    sweeps = (
-        _sweep([fixture], check_fixture),
-        _sweep(zip(corpus), check_standard),
-        _sweep(pairs, check_pair),
+    for _ in range(60 if eligible else 0):
+        yield (_check_pair, *rng.sample(rng.choice(eligible), 2))
+
+
+def _check_fixture(first: WeightMeasure, second: WeightMeasure, sizes) -> tuple[int, list[str]]:
+    """The fixture pair is equivalent up to ``max_len``."""
+    max_len = sizes["max_len"]
+    equivalent = bounded_equivalence(first, second, max_len).equivalent
+    return 1, [] if equivalent else [f"expected equivalence up to length {max_len}"]
+
+
+def _check_standard(measure: WeightMeasure, standard_forms, sizes) -> tuple[int, list[str]]:
+    """An eligible measure is equivalent to its alphabet's standard measure and has its forms."""
+    flags = classify(measure)
+    if not (flags.gapfree and flags.injective and flags.alphabetically_ordered):
+        return 0, []
+    report = bounded_equivalence(measure, standard_measure(measure.alphabet), sizes["max_len"])
+    if not report.equivalent:
+        return 1, [f"not equivalent to the standard measure: {report.describe()}"]
+    forms = standard_forms(measure.alphabet)
+    for done, (indices, reference) in enumerate(forms, 2):
+        word = Word(measure.alphabet, indices)
+        mine = prefix_normal_form(measure, word)
+        if not (isinstance(mine, UniqueNormalForm) and mine == reference):
+            return done, [f"word {word} | normal form differs from the standard measure's"]
+    return 1 + len(forms), []
+
+
+def _check_pair(first: WeightMeasure, second: WeightMeasure, sizes) -> tuple[int, list[str]]:
+    """Sampled equivalent pairs keep their classification flags in sync."""
+    if not bounded_equivalence(first, second, 4).equivalent:
+        return 1, []
+    a, b = classify(first), classify(second)
+    agree = (
+        a.injective == b.injective
+        and a.alphabetically_ordered == b.alphabetically_ordered
+        and a.gapfree == b.gapfree
     )
-    return sum(done for done, _ in sweeps), [line for _, lines in sweeps for line in lines]
+    return 1, [] if agree else ["equivalent pair with diverging classifications"]
 
 
 def _check_binary_reduction(measure: WeightMeasure, max_len: int) -> tuple[int, list[str]]:
@@ -813,31 +826,42 @@ def _check_binary_reduction(measure: WeightMeasure, max_len: int) -> tuple[int, 
     return cases, problems
 
 
-def _suite_binary_reduction(seed: int, max_len: int = 12):
-    """Weighted (1,2) prefix normality equals the classic max-ones predicate."""
-    measure = subset_measure(_BINARY_ALPHABET, {"1"})
-    return _sweep([(measure,)], lambda measure: _check_binary_reduction(measure, max_len))
-
+_WORD_SIZES = {"cases": (10_000, 1), "max_len": (6, 1)}
 
 _SUITES = {
-    "position-functions": _word_sweep(_check_position_functions),
-    "subadditivity": _word_sweep(_check_subadditivity),
-    "pn-equivalences": _word_sweep(_check_pn_equivalences, 5),
-    "exchange": _suite_exchange,
-    "prime-gapful": _suite_prime_gapful,
-    "projection": _word_sweep(_check_projection),
-    "vector-gapfree": _suite_vector_gapfree,
-    "stepped-gapfree": _suite_stepped_gapfree,
-    "trichotomy": _suite_trichotomy,
-    "gap-decision": _suite_gap_decision,
-    "equivalence": _suite_equivalence,
-    "binary-reduction": _suite_binary_reduction,
+    "position-functions": _Suite(_word_cases, _word_check(_check_position_functions), _WORD_SIZES),
+    "subadditivity": _Suite(_word_cases, _word_check(_check_subadditivity), _WORD_SIZES),
+    "pn-equivalences": _Suite(
+        _word_cases, _word_check(_check_pn_equivalences), {**_WORD_SIZES, "max_len": (5, 1)}
+    ),
+    "exchange": _Suite(_exchange_cases, _check_exchange, {"cases": (10_000, 1)}),
+    "prime-gapful": _Suite(_prime_cases, _check_prime_gapful),
+    "projection": _Suite(_word_cases, _word_check(_check_projection), _WORD_SIZES),
+    "vector-gapfree": _Suite(
+        lambda seed, max_len: [(_VECTOR,)], _check_vector_gapfree, {"max_len": (6, 1)}
+    ),
+    "stepped-gapfree": _Suite(_stepped_cases, _check_stepped_gapfree, {"cases": (3_000, 1)}),
+    "trichotomy": _Suite(
+        _corpus_cases, lambda m, sizes: _check_trichotomy(m, sizes["max_len"]), {"max_len": (5, 1)}
+    ),
+    # Every gap witness has four letters, so a shorter search finds no gap at all.
+    "gap-decision": _Suite(
+        _corpus_cases,
+        lambda m, sizes: _check_gap_decision(m, sizes["max_len"], find_gap(m)),
+        {"max_len": (6, 4)},
+    ),
+    "equivalence": _Suite(
+        _equivalence_cases, lambda check, *args: check(*args), {"max_len": (6, 1)}
+    ),
+    "binary-reduction": _Suite(
+        lambda seed, max_len: [(subset_measure(_BINARY_ALPHABET, {"1"}),)],
+        lambda m, sizes: _check_binary_reduction(m, sizes["max_len"]),
+        {"max_len": (12, 1)},
+    ),
 }
 
-# Every parameter some suite declares; ``seed`` belongs to run_suite itself.
-_SUITE_PARAMETERS = {
-    name for runner in _SUITES.values() for name in inspect.signature(runner).parameters
-} - {"seed"}
+# Every size some suite declares; ``seed`` belongs to run_suite itself.
+_SUITE_PARAMETERS = {name for suite in _SUITES.values() for name in suite.sizes}
 
 
 def suite_names() -> tuple[str, ...]:
@@ -847,17 +871,18 @@ def suite_names() -> tuple[str, ...]:
 def run_suite(suite: str, seed: int = DEFAULT_SEED, **params) -> SweepReport:
     """Run one registered sweep and report it.
 
-    A suite declares its sizes, ``cases`` and/or ``max_len``, as parameters
-    after ``seed`` and returns ``(cases, violations)``.  Unknown suite names,
-    parameter names that no suite declares, a ``cases`` or ``max_len``
-    below 1 (a sweep over no words), and a ``max_len`` below 4 for
-    ``gap-decision`` (too short for any gap) are usage errors.  Each suite
-    gets only the sizes it declares (None meaning its default), so the CLI
-    can pass ``max_len`` and ``cases`` to every suite; the report's
-    ``params`` are exactly the sizes the suite ran with.
+    A suite declares its sizes, ``cases`` and/or ``max_len``, each with a
+    default and a least value.  Unknown suite names, parameter names that
+    no suite declares, and a size below its least value are usage errors:
+    a ``cases`` or ``max_len`` below 1 (a sweep over no words), checked
+    whether or not the suite declares it, and a ``max_len`` below 4 for
+    ``gap-decision`` (too short for any gap).  Each suite gets only the
+    sizes it declares (None meaning its default), so the CLI can pass
+    ``max_len`` and ``cases`` to every suite; the report's ``params`` are
+    exactly the sizes the suite ran with.
     """
     try:
-        runner = _SUITES[suite]
+        record = _SUITES[suite]
     except KeyError:
         raise ValueError(
             f"unknown suite {suite!r} (choose from: {', '.join(suite_names())})"
@@ -868,17 +893,11 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED, **params) -> SweepReport:
             f"unknown sweep parameter {', '.join(map(repr, unknown))} "
             f"(suites take: {', '.join(sorted(_SUITE_PARAMETERS))})"
         )
-    # Every gap witness has four letters, so a shorter search finds no gap at all.
-    least_len = 4 if suite == "gap-decision" else 1
-    for name, least in (("cases", 1), ("max_len", least_len)):
-        value = params.get(name)
+    for name, value in sorted(params.items()):
+        least = record.sizes.get(name, (None, 1))[1]
         if value is not None and value < least:
             raise ValueError(f"{name} must be at least {least} for {suite}, got {value}")
-    signature = inspect.signature(runner)
-    bound = signature.bind(
-        seed, **{k: v for k, v in params.items() if v is not None and k in signature.parameters}
-    )
-    bound.apply_defaults()
-    cases, violations = runner(*bound.args, **bound.kwargs)
-    sizes = {k: v for k, v in bound.arguments.items() if k != "seed"}
+    # A size that passed is at least 1, so only None falls back to its default.
+    sizes = {name: params.get(name) or default for name, (default, _) in record.sizes.items()}
+    cases, violations = _sweep(record, seed, sizes)
     return SweepReport(suite, sizes, cases, tuple(violations))

@@ -29,3 +29,11 @@ def test_mutant_names_are_unique_and_an_ambiguous_anchor_is_refused():
     twice = TOOL.Mutant("twice", "x.py", "a", "b")
     with pytest.raises(ValueError, match="2 times"):
         TOOL.apply("a a", twice)
+
+
+def test_mutant_runs_deselect_the_anchor_test():
+    # A mutated file no longer holds its anchor, so a run that kept the
+    # anchor test would count every mutant as killed.
+    path, name = TOOL.ANCHOR_TEST.split("::")
+    assert (TOOL.ROOT / path).resolve() == Path(__file__).resolve()
+    assert name == test_every_mutant_anchor_occurs_exactly_once.__name__

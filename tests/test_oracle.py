@@ -406,6 +406,22 @@ def test_run_suite_rejects_sweeps_over_nothing(name, size):
         run_suite("subadditivity", **{name: size})
 
 
+@pytest.mark.parametrize("suite", suite_names())
+@pytest.mark.parametrize("name", ["cases", "max_len"])
+@pytest.mark.parametrize("size", [0, -1])
+def test_every_suite_rejects_sweeps_over_nothing(suite, name, size):
+    # Declared or not, a size below 1 is a usage error: a suite that does
+    # not take it must not pass with its own defaults instead.
+    least = 4 if (suite, name) == ("gap-decision", "max_len") else 1
+    with pytest.raises(ValueError, match=f"^{name} must be at least {least} for {suite}, got {size}$"):
+        run_suite(suite, **{name: size})
+
+
+def test_gap_decision_rejects_a_search_too_short_for_any_gap():
+    with pytest.raises(ValueError, match="^max_len must be at least 4 for gap-decision, got 3$"):
+        run_suite("gap-decision", max_len=3)
+
+
 def test_suite_registry_contents():
     names = suite_names()
     for expected in (

@@ -743,6 +743,17 @@ def test_packed_rows_keep_only_the_live_windows(monkeypatch):
     assert all(fields <= live + live // 7 + 1 for live, fields in sizes)
 
 
+def test_one_byte_fields_read_the_window_at_start_zero(monkeypatch):
+    # A total below 128 packs each window in one byte, so field 0's guard
+    # byte is byte 0 of the row: ``_heaviest`` must read that field too.
+    read = _calls(monkeypatch, "_heaviest")
+    rng = random.Random(0)
+    indices = tuple(rng.randrange(2) for _ in range(48))
+    assert sum((1, 3)[i] for i in indices) < 128
+    _both_kernels(MonoidKind.NAT_SUM, (1, 3), indices)
+    assert any(size == 1 and hit & 0x80 for _, hit, size in read)
+
+
 @pytest.mark.parametrize("n", [250, 400, 2000])
 def test_sorted_product_words_need_no_count_digits(monkeypatch, n):
     # Each length's band is one run of windows at the maximum, so the

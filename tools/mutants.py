@@ -11,9 +11,11 @@ under a timeout, and restores the file.  It prints one line per mutant:
 - ``hang``: the run passed the timeout, a loop that no longer ends;
 - ``survived``: every test passed, so no test sees the edit.
 
-and last a total.  The tests must first pass on the tree as exported,
-or it runs no mutant and exits 2.  It exits 1 when a mutant not marked
-equivalent survived.
+and last a total.  Every run deselects the anchor test of
+``tests/test_mutants.py``: a mutated file no longer holds its anchor, so
+that test would kill every mutant.  The tests must first pass on the
+tree as exported, or it runs no mutant and exits 2.  It exits 1 when a
+mutant not marked equivalent survived.
 
 Usage: ``python3 tools/mutants.py [NAME ...] [--tests PATH ...] [--timeout S]
 [--list]``.  ``--tests`` names a test subset (pytest paths or node ids);
@@ -138,6 +140,39 @@ MUTANTS = (
         "            if successors is None:\n"
         "                successors = steps[i] = ",
     ),
+    # The field readers: with one-byte fields, field 0's top byte is byte 0.
+    Mutant(
+        "heaviest-skips-a-one-byte-field-zero",
+        PROFILE,
+        "    end = guards.find(0x80)  # the top byte of a field\n    while end >= 0:\n",
+        "    end = guards.find(0x80)  # the top byte of a field\n    while end > 0:\n",
+    ),
+    Mutant(
+        "exact-max-skips-a-one-byte-field-zero",
+        PROFILE,
+        "    end = marks.find(0x80)  # the top byte of a marked field\n    while end >= 0:\n",
+        "    end = marks.find(0x80)  # the top byte of a marked field\n    while end > 0:\n",
+        equivalent="the log view takes 160 or more letters, so its fields hold slack * n >= 160 in 2 or more bytes",
+    ),
+    # The verify driver and its size rule.
+    Mutant(
+        "sweep-stops-one-case-late",
+        "src/prefixnorm/oracle.py",
+        "        if count >= stop:\n",
+        "        if count > stop:\n",
+    ),
+    Mutant(
+        "gap-decision-searches-below-four-letters",
+        "src/prefixnorm/oracle.py",
+        '{"max_len": (6, 4)}',
+        '{"max_len": (6, 1)}',
+    ),
+    Mutant(
+        "size-rule-skips-undeclared-sizes",
+        "src/prefixnorm/oracle.py",
+        "    for name, value in sorted(params.items()):\n",
+        "    for name, value in sorted(p for p in params.items() if p[0] in record.sizes):\n",
+    ),
     Mutant(
         "cyclic-criterion-drops-its-longest-window",
         "tests/test_profile.py",
@@ -170,9 +205,13 @@ def _export(into: Path) -> None:
             archive.extractall(into)
 
 
+# Reads each anchor from the tree under test, so it fails under every mutant.
+ANCHOR_TEST = "tests/test_mutants.py::test_every_mutant_anchor_occurs_exactly_once"
+
+
 def _run(tree: Path, tests: list[str], timeout: float) -> str:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--deselect", ANCHOR_TEST, *tests]
     child = subprocess.Popen(
         command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True
     )
