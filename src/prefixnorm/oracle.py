@@ -3,19 +3,23 @@
 Everything here recomputes derived quantities straight from their
 definitions (full word enumeration, window scans) so the fast paths in the
 other modules can be checked against an independent route.  ``_scan`` is
-the one definitional word scan: each word's prefix weights and factor
-maxima come from one running combine from every start, ``_running_rows``,
-kept apart from the fast profile kernels.  Its start-0 pass runs first, so
-each maximum starts at a real window, the prefix, and no carrier's
-identity is taken for its minimum.  ``brute_gap_search`` tests every
-one-letter step at every position; it combines each factor maximum with
-the letter weights once per call and looks the next maximum up in that
-set, which is the same test.  Every full scan of the |Σ|^n words of one
-length refuses up front, with ``CapacityExceeded``, when that count
-exceeds ``DEFAULT_LIMIT``: ``_scan`` when called, and the binary-reduction
-sweep, whose own scan checks the fast kernel.  The binary count walks the
-trie, yet refuses n as if it scanned all 2^n words.  ``_scan`` also
-refuses by its kernel cells, which bounds a one-letter scan.
+the one definitional word scan, kept apart from the fast profile kernels.
+It visits every word of every length it is asked for, and builds each
+word's factor maxima from the rows of the word's head w[:-1] and tail
+w[1:], one length shorter: each window shorter than the word lies in one
+of them.  That takes one combine and one elementwise ``max`` per word.
+Every maximum comes from a real window, so no carrier's identity is taken
+for its minimum.  ``_running_rows``, a running combine from every start of
+one word, is the per-word kernel the scan's rows equal.
+``brute_gap_search`` tests every one-letter step at every position; it
+combines each factor maximum with the letter weights once per call and
+looks the next maximum up in that set, which is the same test.  Every full
+scan of the |Σ|^n words of one length refuses up front, with
+``CapacityExceeded``, when that count exceeds ``DEFAULT_LIMIT``: ``_scan``
+when called, and the binary-reduction sweep, whose own scan checks the
+fast kernel.  The binary count walks the trie, yet refuses n as if it
+scanned all 2^n words.  ``_scan`` also refuses by its kernel cells, which
+bounds a one-letter scan.
 
 Every verify suite is one record, ``_Suite``: the sizes it declares, each
 with its default and least value, a deterministic stream of cases
@@ -161,8 +165,12 @@ def _running_factor_max(letter_weights, indices, ident, comb):
 def _scan_cells(size: int, lengths: range) -> int:
     """Kernel cells of a scan: n(n+1)/2 for each of the size^n words of each length n.
 
-    One letter has one word per length, and its sum over 1..n is the
-    tetrahedral number n(n+1)(n+2)/6, so a huge length costs nothing here.
+    They count the combines ``_running_rows`` makes on those words.  The
+    scan makes one combine and a max over n entries per word, and builds the
+    shorter lengths at less than the longest length's cells, so the cells
+    bound its work from above.  One letter has one word per length, and its
+    sum over 1..n is the tetrahedral number n(n+1)(n+2)/6, so a huge length
+    costs nothing here.
     """
     if size == 1:
         low, high = lengths[0] - 1, lengths[-1]
@@ -174,25 +182,78 @@ def _scan_cells(size: int, lengths: range) -> int:
 _SCAN_CELL_LIMIT = _scan_cells(2, range(1, 17))
 
 
+def _prefix_rows(letter_weights, ident, comb, length):
+    """Prefix rows of the words of ``length``, in lexicographic order, by a depth-first walk.
+
+    Each row is its head's row plus one combine; the walk holds a row per
+    letter and depth, not a row per word.
+    """
+    stack = [[ident]]
+    while stack:
+        row = stack.pop()
+        if len(row) > length:
+            yield row
+        else:
+            total = row[-1]
+            stack.extend([*row, comb(total, w)] for w in reversed(letter_weights))
+
+
+def _scan_rows(letter_weights, ident, comb, lengths: range):
+    """The rows of ``_scan``, each length's built from the previous length's factor maxima.
+
+    Word j of length n has its head w[:-1] at j // |Σ| and its tail w[1:]
+    at j mod |Σ|^(n-1) among the words of length n - 1, and every window
+    shorter than w lies in one of them.  So w's factor maxima are the
+    elementwise ``max`` of those two rows, then w's total: the head's
+    total, the last entry of its row, combined with w's last letter.  Its
+    prefix row is the head's plus that total.  Only the previous length's
+    factor rows are kept; the heads' prefix rows come from a walk, in the
+    same order.  The lengths below ``lengths`` are built but not yielded.
+    A yielded factor row is also the next length's input, so no consumer
+    may mutate one.
+    """
+    if not lengths:
+        return
+    size, last = len(letter_weights), lengths[-1]
+    rows = [[ident]]
+    if 0 in lengths:
+        yield (), [ident], rows[0]
+    for n in range(1, last + 1):
+        heads, rows = rows, []
+        more, yielding = n < last, n in lengths
+        # The tail of word j is head j mod |heads|: the heads over again, once per letter.
+        tail = itertools.chain.from_iterable(itertools.repeat(heads, size)).__next__
+        words = itertools.product(range(size), repeat=n)
+        prefixes = (
+            _prefix_rows(letter_weights, ident, comb, n - 1) if yielding else itertools.repeat(None)
+        )
+        for head, head_prefix in zip(heads, prefixes):
+            head_total = head[-1]
+            for w in letter_weights:
+                total = comb(head_total, w)
+                f = [*map(max, head, tail()), total]
+                if more:
+                    rows.append(f)
+                if yielding:
+                    yield next(words), [*head_prefix, total], f
+
+
 def _scan(measure: WeightMeasure, lengths: range):
     """``(indices, prefix weights, factor maxima)`` of each word of the ascending ``lengths``.
 
-    The words come in (length, lexicographic) order.  The call itself
-    refuses when the last length has over ``DEFAULT_LIMIT`` words, and then
-    when the scan's kernel cells exceed those of a binary scan of lengths 1
-    to 16: a one-letter alphabet has one word per length, yet each costs
-    n(n+1)/2 combines.
+    The words come in (length, lexicographic) order.  ``_scan_rows`` builds
+    them length by length; ``_running_rows`` is the per-word kernel their
+    rows equal.  The call itself refuses, before any row is built, when the
+    last length has over ``DEFAULT_LIMIT`` words, and then when the scan's
+    kernel cells exceed those of a binary scan of lengths 1 to 16: a
+    one-letter alphabet has one word per length, yet its rows grow with n.
+    No consumer may mutate a yielded row.
     """
     size = len(measure.alphabet)
     if lengths:
         refuse_power(size, lengths[-1], "words")
         refuse(_scan_cells(size, lengths), "kernel cells", _SCAN_CELL_LIMIT)
-    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-    return (
-        (indices, *_running_rows(ws, indices, ident, comb))
-        for length in lengths
-        for indices in itertools.product(range(size), repeat=length)
-    )
+    return _scan_rows(measure.payloads, measure.identity_payload, measure.combine, lengths)
 
 
 def brute_gap_search(measure: WeightMeasure, max_len: int) -> Gap | None:

@@ -97,6 +97,41 @@ def test_the_scan_prefix_row_is_the_prefix_weights(measure):
         assert prefix == prefix_payloads(ws, indices, ident, comb), indices
 
 
+def _kernel_rows(ws, ident, comb, lengths):
+    """``(indices, prefix row, factor row)`` of every word of ``lengths``, each by the per-word kernel."""
+    return [
+        (indices, *oracle._running_rows(ws, indices, ident, comb))
+        for n in lengths
+        for indices in itertools.product(range(len(ws)), repeat=n)
+    ]
+
+
+_SCAN_MEASURES = [sum_measure(ABC, 1, 2, 2), product_measure(ABC, 2, 3, 5), VEC_FIXTURE]
+
+
+@pytest.mark.parametrize("measure", _SCAN_MEASURES, ids=lambda m: m.kind.value)
+def test_the_scan_rows_equal_the_per_word_kernel(measure):
+    ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
+    assert list(oracle._scan(measure, range(8))) == _kernel_rows(ws, ident, comb, range(8))
+
+
+def test_the_scan_takes_every_maximum_from_a_real_window():
+    # Raw weights around the identity 0, fed to the row builder itself: a
+    # maximum taken from the identity would read 0 where every window weighs less.
+    weights = (-3, -1, 2)
+    rows = list(oracle._scan_rows(weights, 0, operator.add, range(8)))
+    assert rows == _kernel_rows(weights, 0, operator.add, range(8))
+
+
+@pytest.mark.parametrize("measure", _SCAN_MEASURES, ids=lambda m: m.kind.value)
+def test_a_one_length_scan_is_the_full_scan_at_that_length(measure):
+    full = list(oracle._scan(measure, range(8)))
+    for n in range(8):
+        assert list(oracle._scan(measure, range(n, n + 1))) == [
+            row for row in full if len(row[0]) == n
+        ], n
+
+
 def _reference_gap_search(measure, max_len):
     """First gap in (length, lexicographic, index) order, every step tried on sliced maxima."""
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine

@@ -140,6 +140,34 @@ MUTANTS = (
         "            if successors is None:\n"
         "                successors = steps[i] = ",
     ),
+    # The packed rows' guard tests: skipped at best + e == guard, they would find no hit there.
+    Mutant(
+        "packed-test-runs-at-the-guard",
+        PROFILE,
+        "if best + e < guard else 0",
+        "if best + e <= guard else 0",
+        equivalent="at best + e == guard each field less e is its window's weight, below the guard: no hit",
+    ),
+    Mutant(
+        "packed-repeat-test-runs-at-the-guard",
+        PROFILE,
+        "        if best + step < guard:\n",
+        "        if best + step <= guard:\n",
+        equivalent="at best + step == guard each field less step is its window's weight: no hit, so settle runs",
+    ),
+    # The scan's rows: each word's from its head's and its tail's.
+    Mutant(
+        "scan-row-from-the-head-alone",
+        "src/prefixnorm/oracle.py",
+        "                f = [*map(max, head, tail()), total]\n",
+        "                f = [*head, total]\n",
+    ),
+    Mutant(
+        "scan-reads-the-tail-one-word-over",
+        "src/prefixnorm/oracle.py",
+        "itertools.repeat(heads, size)",
+        "itertools.repeat(heads[1:] + heads[:1], size)",
+    ),
     # The field readers: with one-byte fields, field 0's top byte is byte 0.
     Mutant(
         "heaviest-skips-a-one-byte-field-zero",
