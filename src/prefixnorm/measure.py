@@ -254,6 +254,8 @@ class Gap:
 
 @dataclass(frozen=True)
 class MeasureClassification:
+    """The flags ``classify`` computes; ``stepped`` is the step (see ``stepped_step``), or None."""
+
     injective: bool
     alphabetically_ordered: bool
     binary: bool
@@ -555,6 +557,7 @@ def parse_measure_text(text: str) -> WeightMeasure:
 
 
 def load_measure(path) -> WeightMeasure:
+    """The measure of the spec file at ``path``."""
     with open(path, encoding="utf-8") as handle:
         return parse_measure_text(handle.read())
 

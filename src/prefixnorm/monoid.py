@@ -40,6 +40,8 @@ from operator import add, mul
 
 
 class MonoidKind(enum.Enum):
+    """The three carriers; each value is the carrier's name in a spec file."""
+
     NAT_SUM = "nat-sum"
     NAT_PRODUCT = "nat-product"
     VEC2_LEX = "vec2-lex"

@@ -24,6 +24,8 @@ class NoNormalForm:
 
 @dataclass(frozen=True)
 class UniqueNormalForm:
+    """The one prefix-normal word that shares the input's factor-weight profile."""
+
     word: Word
     count = 1
 

@@ -926,6 +926,7 @@ _SUITE_PARAMETERS = {name for suite in _SUITES.values() for name in suite.sizes}
 
 
 def suite_names() -> tuple[str, ...]:
+    """The names of the verify suites, sorted."""
     return tuple(sorted(_SUITES))
 
 

@@ -519,6 +519,7 @@ class WeightProfile:
 
 
 def weight_profile(measure: "WeightMeasure", word: "Word") -> WeightProfile:
+    """The prefix and factor-maximum weights of ``word`` under ``measure``."""
     measure.check_word(word)
     f, starts = factor_max_payloads(
         measure.payloads, word.indices, measure.identity_payload, measure.combine

@@ -12,10 +12,11 @@ under a timeout, and restores the file.  It prints one line per mutant:
 - ``survived``: every test passed, so no test sees the edit.
 
 and last a total.  Every run deselects the anchor test of
-``tests/test_mutants.py``: a mutated file no longer holds its anchor, so
-that test would kill every mutant.  The tests must first pass on the
-tree as exported, or it runs no mutant and exits 2.  It exits 1 when a
-mutant not marked equivalent survived.
+``tests/test_mutants.py``, which checks, without running a mutant, that
+each anchor occurs exactly once: a mutated file no longer holds its
+anchor, so that test would kill every mutant.  The tests must first pass
+on the tree as exported, or it runs no mutant and exits 2.  It exits 1
+when a mutant not marked equivalent survived.
 
 Usage: ``python3 tools/mutants.py [NAME ...] [--tests PATH ...] [--timeout S]
 [--list]``.  ``--tests`` names a test subset (pytest paths or node ids);
@@ -200,6 +201,35 @@ MUTANTS = (
         "src/prefixnorm/oracle.py",
         "    for name, value in sorted(params.items()):\n",
         "    for name, value in sorted(p for p in params.items() if p[0] in record.sizes):\n",
+    ),
+    # Flipped comparisons that no test can see.
+    Mutant(
+        "find-gap-decides-two-weights-by-triples",
+        "src/prefixnorm/measure.py",
+        "    if len(distinct) <= 2:\n",
+        "    if len(distinct) < 2:\n",
+        equivalent="with two distinct weights, combinations(distinct, 3) is empty, so no triple finds a gap",
+    ),
+    Mutant(
+        "expansion-counts-one-letter-classes",
+        "src/prefixnorm/normalform.py",
+        "if size > 1]",
+        "if size >= 1]",
+        equivalent="a one-letter class multiplies each count by 1 ** count",
+    ),
+    Mutant(
+        "conditions-replace-an-equal-shortest-size",
+        PROFILE,
+        "size < known",
+        "size <= known",
+        equivalent="replacing a shortest size by an equal one keeps the same minimum",
+    ),
+    # Once lo + 1 == hi, mid == lo, so the bisection makes no progress.
+    Mutant(
+        "settle-bisects-without-end",
+        PROFILE,
+        "        while lo + 1 < hi and hit.bit_count() > _FEW_WINDOWS:\n",
+        "        while lo < hi and hit.bit_count() > _FEW_WINDOWS:\n",
     ),
     Mutant(
         "cyclic-criterion-drops-its-longest-window",
