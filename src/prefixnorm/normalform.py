@@ -190,10 +190,10 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
       suffix outweighs the target, and ``guards & ~(diff - ones)`` are the
       lengths it hits.  The due test combines, for each i of the ``left``
       letters still to come, the suffixes shifted up i fields with cap_i,
-      compares them with the target in one step, and stops once every
-      length 1..n is reached: O(left) big-int operations a child.  On the
-      additive views cap_i goes into fields i..n only: the fields below i
-      hold no suffix, and a cap there would mark a shorter length.
+      compares them with the target in one step, and keeps the child when
+      every length 1..n is reached: O(left) big-int operations a child.
+      On the additive views cap_i goes into fields i..n only: the fields
+      below i hold no suffix, and a cap there would mark a shorter length.
 
     The fields grow with the letter weights: ``length`` times the bits of
     the heaviest nat-product weight.  Against a walk that combines
@@ -313,11 +313,12 @@ def walk_words(measure: WeightMeasure, length: int, word: Word | None = None, li
             if diff & mask != mask:
                 continue
             hit = hits | mask & ~(diff - below)
+            # The child hits lengths up to its own, depth + 1, and span i marks
+            # lengths k + i with k <= depth + 1, so length n is reached only at the
+            # last span (i = n - depth - 1): every span runs, then the member test.
             due = hit & due_mask
             shifted = grown
             for t, light, span in spans:
-                if due == due_mask:
-                    break
                 shifted <<= width
                 cap = less(budget, light)
                 due |= comb(shifted, (t if t < cap else cap) * span) + offset & due_mask

@@ -4,13 +4,15 @@ Everything here recomputes derived quantities straight from their
 definitions (full word enumeration, window scans) so the fast paths in the
 other modules can be checked against an independent route.  ``_scan`` is
 the one definitional word scan, kept apart from the fast profile kernels.
-It visits every word of every length it is asked for, and builds each
-word's factor maxima from the rows of the word's head w[:-1] and tail
-w[1:], one length shorter: each window shorter than the word lies in one
-of them.  That takes one combine and one elementwise ``max`` per word.
-Every maximum comes from a real window, so no carrier's identity is taken
-for its minimum.  ``_running_rows``, a running combine from every start of
-one word, is the per-word kernel the scan's rows equal.
+It visits every word of every length it is asked for and yields its
+factor maxima and whether it is prefix normal, each from the rows and the
+verdict of the word's head w[:-1] and tail w[1:], one length shorter.
+That takes one combine and one elementwise ``max`` per word, and one row
+comparison per word whose head is prefix normal.  Every maximum comes
+from a real window, so no carrier's identity is taken for its minimum.
+``_running_rows``, a running combine from every start of one word, is
+the per-word kernel the scan equals: its factor row, and its ``prefix ==
+maxima`` as the verdict.
 ``brute_gap_search`` tests every one-letter step at every position; it
 combines each factor maximum with the letter weights once per call and
 looks the next maximum up in that set, which is the same test.  Every full
@@ -153,24 +155,15 @@ def _running_rows(letter_weights, indices, ident, comb):
     return prefix, best
 
 
-def _running_factor_max(letter_weights, indices, ident, comb):
-    """Per-length factor maxima, the second row of ``_running_rows``.
-
-    Each maximum is taken over real windows only, its prefix first, so it
-    holds for weights below the identity too.
-    """
-    return _running_rows(letter_weights, indices, ident, comb)[1]
-
-
 def _scan_cells(size: int, lengths: range) -> int:
     """Kernel cells of a scan: n(n+1)/2 for each of the size^n words of each length n.
 
     They count the combines ``_running_rows`` makes on those words.  The
-    scan makes one combine and a max over n entries per word, and builds the
-    shorter lengths at less than the longest length's cells, so the cells
-    bound its work from above.  One letter has one word per length, and its
-    sum over 1..n is the tetrahedral number n(n+1)(n+2)/6, so a huge length
-    costs nothing here.
+    scan makes one combine, a max over n entries and at most one comparison
+    of n entries per word, and builds the shorter lengths at less than the
+    longest length's cells, so the cells bound its work from above.  One
+    letter has one word per length, and its sum over 1..n is the
+    tetrahedral number n(n+1)(n+2)/6, so a huge length costs nothing here.
     """
     if size == 1:
         low, high = lengths[0] - 1, lengths[-1]
@@ -182,68 +175,60 @@ def _scan_cells(size: int, lengths: range) -> int:
 _SCAN_CELL_LIMIT = _scan_cells(2, range(1, 17))
 
 
-def _prefix_rows(letter_weights, ident, comb, length):
-    """Prefix rows of the words of ``length``, in lexicographic order, by a depth-first walk.
-
-    Each row is its head's row plus one combine; the walk holds a row per
-    letter and depth, not a row per word.
-    """
-    stack = [[ident]]
-    while stack:
-        row = stack.pop()
-        if len(row) > length:
-            yield row
-        else:
-            total = row[-1]
-            stack.extend([*row, comb(total, w)] for w in reversed(letter_weights))
-
-
 def _scan_rows(letter_weights, ident, comb, lengths: range):
-    """The rows of ``_scan``, each length's built from the previous length's factor maxima.
+    """The rows of ``_scan``, each length's built from the previous length's rows and verdicts.
 
     Word j of length n has its head w[:-1] at j // |Σ| and its tail w[1:]
     at j mod |Σ|^(n-1) among the words of length n - 1, and every window
-    shorter than w lies in one of them.  So w's factor maxima are the
+    shorter than w lies in one of them.  So w's factor maxima f_w are the
     elementwise ``max`` of those two rows, then w's total: the head's
-    total, the last entry of its row, combined with w's last letter.  Its
-    prefix row is the head's plus that total.  Only the previous length's
-    factor rows are kept; the heads' prefix rows come from a walk, in the
-    same order.  The lengths below ``lengths`` are built but not yielded.
-    A yielded factor row is also the next length's input, so no consumer
-    may mutate one.
+    total, the last entry of its row, combined with w's last letter.
+
+    Its verdict is the head's verdict and ``f_w[:-1] == f_head``.  For
+    k < n, p_w[k] = p_head[k] <= f_head[k] <= f_w[k]: the prefix is a real
+    window of the head, and f_w[k] is the larger of the head's and the
+    tail's maxima.  Also p_w[n] = f_w[n], w's total.  So w is prefix
+    normal exactly when both inequalities are equalities for every k < n:
+    the head is prefix normal and w's maxima below n are the head's.  No
+    identity is taken as a minimum, so weights below the identity work too.
+
+    Only the previous length's factor rows and verdicts are kept.  The
+    lengths below ``lengths`` are built but not yielded.  A yielded factor
+    row is also the next length's input, so no consumer may mutate one.
     """
     if not lengths:
         return
     size, last = len(letter_weights), lengths[-1]
-    rows = [[ident]]
+    rows, verdicts = [[ident]], bytearray((1,))
     if 0 in lengths:
-        yield (), [ident], rows[0]
+        yield (), True, rows[0]
     for n in range(1, last + 1):
         heads, rows = rows, []
+        head_verdicts, verdicts = verdicts, bytearray()
         more, yielding = n < last, n in lengths
         # The tail of word j is head j mod |heads|: the heads over again, once per letter.
         tail = itertools.chain.from_iterable(itertools.repeat(heads, size)).__next__
         words = itertools.product(range(size), repeat=n)
-        prefixes = (
-            _prefix_rows(letter_weights, ident, comb, n - 1) if yielding else itertools.repeat(None)
-        )
-        for head, head_prefix in zip(heads, prefixes):
+        for head, head_normal in zip(heads, map(bool, head_verdicts)):
             head_total = head[-1]
             for w in letter_weights:
                 total = comb(head_total, w)
                 f = [*map(max, head, tail()), total]
+                normal = head_normal and f[:-1] == head
                 if more:
                     rows.append(f)
+                    verdicts.append(normal)
                 if yielding:
-                    yield next(words), [*head_prefix, total], f
+                    yield next(words), normal, f
 
 
 def _scan(measure: WeightMeasure, lengths: range):
-    """``(indices, prefix weights, factor maxima)`` of each word of the ascending ``lengths``.
+    """``(indices, prefix normal, factor maxima)`` of each word of the ascending ``lengths``.
 
     The words come in (length, lexicographic) order.  ``_scan_rows`` builds
-    them length by length; ``_running_rows`` is the per-word kernel their
-    rows equal.  The call itself refuses, before any row is built, when the
+    them length by length; ``_running_rows`` is the per-word kernel they
+    equal: its factor row, and its ``prefix == maxima`` as the verdict, a
+    ``bool``.  The call itself refuses, before any row is built, when the
     last length has over ``DEFAULT_LIMIT`` words, and then when the scan's
     kernel cells exceed those of a binary scan of lengths 1 to 16: a
     one-letter alphabet has one word per length, yet its rows grow with n.
@@ -284,7 +269,7 @@ def _brute_class_rows(measure: WeightMeasure, word: Word) -> list[tuple]:
     measure.check_word(word)
     scan = _scan(measure, range(len(word), len(word) + 1))
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
-    target = _running_factor_max(ws, word.indices, ident, comb)
+    target = _running_rows(ws, word.indices, ident, comb)[1]
     return [row for row in scan if row[2] == target]
 
 
@@ -296,7 +281,7 @@ def brute_equivalence_class(measure: WeightMeasure, word: Word) -> set[Word]:
 def brute_prefix_normal_set(measure: WeightMeasure, word: Word) -> set[Word]:
     """The prefix-normal words of the word's factor-weight class, by one full scan."""
     rows = _brute_class_rows(measure, word)
-    return {Word(measure.alphabet, indices) for indices, p, f in rows if p == f}
+    return {Word(measure.alphabet, indices) for indices, normal, _ in rows if normal}
 
 
 def _check_trichotomy(measure: WeightMeasure, max_len: int) -> tuple[int, list[str]]:
@@ -316,11 +301,10 @@ def _check_trichotomy(measure: WeightMeasure, max_len: int) -> tuple[int, list[s
     # Profiles of different lengths differ in length, so one dict keeps the
     # classes apart and in scan order.
     groups: dict[tuple, list] = {}
-    for indices, p, f in scan:
+    for indices, normal, f in scan:
         cases += 1
         group = groups.setdefault(tuple(f), [0, indices])
-        if p == f:
-            group[0] += 1
+        group[0] += normal
     found_empty = found_multi = False
     for pn_count, first_indices in groups.values():
         representative = Word(measure.alphabet, first_indices)

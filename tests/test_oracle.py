@@ -80,7 +80,7 @@ def test_the_running_kernel_takes_every_maximum_from_a_real_window():
     for n in range(7):
         for indices in itertools.product(range(3), repeat=n):
             letters = [weights[i] for i in indices]
-            assert oracle._running_factor_max(weights, indices, 0, operator.add) == (
+            assert oracle._running_rows(weights, indices, 0, operator.add)[1] == (
                 _window_maxima(letters, 0, operator.add)
             ), indices
 
@@ -93,16 +93,18 @@ def test_the_scan_prefix_row_is_the_prefix_weights(measure):
     ws, ident, comb = measure.payloads, measure.identity_payload, measure.combine
     rows = list(oracle._scan(measure, range(6)))
     assert len(rows) == sum(3**n for n in range(6))
-    for indices, prefix, _ in rows:
-        assert prefix == prefix_payloads(ws, indices, ident, comb), indices
+    for indices, normal, _ in rows:
+        prefix = prefix_payloads(ws, indices, ident, comb)
+        assert normal == (prefix == factor_max_payloads(ws, indices, ident, comb)[0]), indices
 
 
 def _kernel_rows(ws, ident, comb, lengths):
-    """``(indices, prefix row, factor row)`` of every word of ``lengths``, each by the per-word kernel."""
+    """``(indices, prefix normal, factor row)`` of every word of ``lengths``, each by the per-word kernel."""
     return [
-        (indices, *oracle._running_rows(ws, indices, ident, comb))
+        (indices, prefix == maxima, maxima)
         for n in lengths
         for indices in itertools.product(range(len(ws)), repeat=n)
+        for prefix, maxima in [oracle._running_rows(ws, indices, ident, comb)]
     ]
 
 
@@ -287,7 +289,7 @@ def measures_and_lengths(draw):
 def test_count_prefix_normal_words_matches_the_definitional_scan(case):
     measure, n = case
     assert count_prefix_normal_words(measure, n) == sum(
-        p == f for _, p, f in oracle._scan(measure, range(n, n + 1))
+        normal for _, normal, _ in oracle._scan(measure, range(n, n + 1))
     )
 
 

@@ -24,7 +24,7 @@ from prefixnorm import (
 from prefixnorm import monoid, profile
 from prefixnorm.monoid import MonoidKind, payload_combine, payload_identity
 from prefixnorm.oracle import (
-    _running_factor_max, _running_rows, classic_max_ones, is_prefix_normal_classic,
+    _running_rows, classic_max_ones, is_prefix_normal_classic,
 )
 from prefixnorm.profile import factor_max_payloads, factor_max_steps, prefix_payloads
 
@@ -408,7 +408,7 @@ def _both_kernels(kind, weights, indices):
     """
     ident, comb = payload_identity(kind), payload_combine(kind)
     best, starts = factor_max_payloads(weights, indices, ident, comb)
-    assert best == _running_factor_max(weights, indices, ident, comb)
+    assert best == _running_rows(weights, indices, ident, comb)[1]
 
     assert starts[0] == 0
     windows = [ident] * (len(indices) + 1)  # by start, of the current length
@@ -698,7 +698,7 @@ def test_gap_steps_of_a_long_vec2_word_agree_with_the_start_major_profile(monkey
     # read them off the windows above the lower one.
     word = _random_word(LONG_VEC, 300, 300)
     weights, indices = LONG_VEC.payloads, word.indices
-    f = _running_factor_max(weights, indices, (0, 0), payload_combine(MonoidKind.VEC2_LEX))
+    f = _running_rows(weights, indices, (0, 0), payload_combine(MonoidKind.VEC2_LEX))[1]
     gaps = [
         i
         for i in range(1, len(f))

@@ -169,6 +169,33 @@ MUTANTS = (
         "itertools.repeat(heads, size)",
         "itertools.repeat(heads[1:] + heads[:1], size)",
     ),
+    # The scan's verdicts: each word's from its head's and its own factor row.
+    Mutant(
+        "scan-verdict-forgets-the-head",
+        "src/prefixnorm/oracle.py",
+        "normal = head_normal and f[:-1] == head\n",
+        "normal = f[:-1] == head\n",
+    ),
+    Mutant(
+        "scan-verdict-forgets-the-tail",
+        "src/prefixnorm/oracle.py",
+        "normal = head_normal and f[:-1] == head\n",
+        "normal = head_normal\n",
+    ),
+    # The prefix count digits: the doubling passes sum the fields below each one.
+    Mutant(
+        "prefix-digits-double-once-more",
+        PROFILE,
+        "    while shift < width * n:\n",
+        "    while shift <= width * n:\n",
+        equivalent="the extra pass only adds copies above field n - 1, which the final mask drops",
+    ),
+    Mutant(
+        "prefix-digits-never-double",
+        PROFILE,
+        "    while shift < width * n:\n",
+        "    while shift > width * n:\n",
+    ),
     # The field readers: with one-byte fields, field 0's top byte is byte 0.
     Mutant(
         "heaviest-skips-a-one-byte-field-zero",
