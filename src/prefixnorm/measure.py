@@ -277,19 +277,18 @@ def find_gap(measure: WeightMeasure) -> Gap | None:
 
     The distinct base weights, sorted ascending, stand in for the projected
     and weight-relabelled measure.  With at most two of them every measure
-    is gapfree.  Otherwise each sorted triple (low, mid, high) must admit a
-    letter x with mid . x == low . high, that is, the residual of mid and
-    low . high must be a base weight; the first failing triple yields a
-    four-letter witness word shaped high-low-high-mid (letters of weights
-    w_high, w_low, w_high, w_mid), whose gap sits at index 3.
+    is gapfree, and no triple exists.  Otherwise each sorted triple (low,
+    mid, high) must admit a letter x with mid . x == low . high, that is,
+    the residual of mid and low . high must be a base weight; the first
+    failing triple yields a four-letter witness word shaped
+    high-low-high-mid (letters of weights w_high, w_low, w_high, w_mid),
+    whose gap sits at index 3.
 
     Triples are scanned in lexicographic index order, so the witness is
     deterministic.
     """
     payloads = measure.payloads
     distinct = sorted(set(payloads))
-    if len(distinct) <= 2:
-        return None
     representative = {}
     for position, payload in enumerate(payloads):
         representative.setdefault(payload, position)

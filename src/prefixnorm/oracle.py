@@ -20,8 +20,10 @@ scan of the |Σ|^n words of one length refuses up front, with
 ``CapacityExceeded``, when that count exceeds ``DEFAULT_LIMIT``: ``_scan``
 when called, and the binary-reduction sweep, whose own scan checks the
 fast kernel.  The binary count walks the trie, yet refuses n as if it
-scanned all 2^n words.  ``_scan`` also refuses by its kernel cells, which
-bounds a one-letter scan.
+scanned all 2^n words.  A one-letter alphabet has one word per length,
+so ``_scan`` refuses its scans by their kernel cells instead; a larger
+alphabet never exceeds that cap where its word count accepts (see
+``_scan_cells``).
 
 Every verify suite is one record, ``_Suite``: the sizes it declares, each
 with its default and least value, a deterministic stream of cases
@@ -155,24 +157,23 @@ def _running_rows(letter_weights, indices, ident, comb):
     return prefix, best
 
 
-def _scan_cells(size: int, lengths: range) -> int:
-    """Kernel cells of a scan: n(n+1)/2 for each of the size^n words of each length n.
+def _scan_cells(lengths: range) -> int:
+    """Kernel cells of a one-letter scan: n(n+1)/2 for the one word of each length n.
 
-    They count the combines ``_running_rows`` makes on those words.  The
-    scan makes one combine, a max over n entries and at most one comparison
-    of n entries per word, and builds the shorter lengths at less than the
-    longest length's cells, so the cells bound its work from above.  One
-    letter has one word per length, and its sum over 1..n is the
-    tetrahedral number n(n+1)(n+2)/6, so a huge length costs nothing here.
+    They count the combines ``_running_rows`` makes on that word, and its
+    sum over 1..n is the tetrahedral number n(n+1)(n+2)/6, so a huge
+    length costs nothing here.  The cells gate only one-letter scans, the
+    one case the word count cannot refuse: counted at n(n+1)/2 per word of
+    each length n, a scan of any larger alphabet to the longest length its
+    word count accepts stays at or below ``_SCAN_CELL_LIMIT``, which only
+    binary length 16 reaches.
     """
-    if size == 1:
-        low, high = lengths[0] - 1, lengths[-1]
-        return (high * (high + 1) * (high + 2) - low * (low + 1) * (low + 2)) // 6
-    return sum(size**n * n * (n + 1) // 2 for n in lengths)
+    low, high = lengths[0] - 1, lengths[-1]
+    return (high * (high + 1) * (high + 2) - low * (low + 1) * (low + 2)) // 6
 
 
 # The cells of the largest scan the word count accepts (binary, lengths 1-16).
-_SCAN_CELL_LIMIT = _scan_cells(2, range(1, 17))
+_SCAN_CELL_LIMIT = sum(2**n * n * (n + 1) // 2 for n in range(1, 17))
 
 
 def _scan_rows(letter_weights, ident, comb, lengths: range):
@@ -196,8 +197,6 @@ def _scan_rows(letter_weights, ident, comb, lengths: range):
     lengths below ``lengths`` are built but not yielded.  A yielded factor
     row is also the next length's input, so no consumer may mutate one.
     """
-    if not lengths:
-        return
     size, last = len(letter_weights), lengths[-1]
     rows, verdicts = [[ident]], bytearray((1,))
     if 0 in lengths:
@@ -229,15 +228,17 @@ def _scan(measure: WeightMeasure, lengths: range):
     them length by length; ``_running_rows`` is the per-word kernel they
     equal: its factor row, and its ``prefix == maxima`` as the verdict, a
     ``bool``.  The call itself refuses, before any row is built, when the
-    last length has over ``DEFAULT_LIMIT`` words, and then when the scan's
-    kernel cells exceed those of a binary scan of lengths 1 to 16: a
-    one-letter alphabet has one word per length, yet its rows grow with n.
-    No consumer may mutate a yielded row.
+    last length has over ``DEFAULT_LIMIT`` words, and for a one-letter
+    alphabet when the scan's kernel cells exceed those of a binary scan of
+    lengths 1 to 16: it has one word per length, yet its rows grow with n.
+    Every larger alphabet the word count accepts stays within those cells
+    (see ``_scan_cells``).  ``lengths`` is never empty.  No consumer may
+    mutate a yielded row.
     """
     size = len(measure.alphabet)
-    if lengths:
-        refuse_power(size, lengths[-1], "words")
-        refuse(_scan_cells(size, lengths), "kernel cells", _SCAN_CELL_LIMIT)
+    refuse_power(size, lengths[-1], "words")
+    if size == 1:
+        refuse(_scan_cells(lengths), "kernel cells", _SCAN_CELL_LIMIT)
     return _scan_rows(measure.payloads, measure.identity_payload, measure.combine, lengths)
 
 

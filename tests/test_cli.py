@@ -188,10 +188,11 @@ def test_count_refusals_share_one_wording(capsys, spec, argv):
     assert captured.err.startswith("error: refusing: ")
 
 
-def test_python_dash_m_runs_the_cli():
+@pytest.mark.parametrize("module", ["prefixnorm", "prefixnorm.cli"])
+def test_python_dash_m_runs_the_cli(module):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run(
-        [sys.executable, "-m", "prefixnorm", "count-binary-pn", "3"],
+        [sys.executable, "-m", module, "count-binary-pn", "3"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (result.returncode, result.stdout) == (0, "5\n")

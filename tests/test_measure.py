@@ -23,6 +23,7 @@ from helpers import (
 from prefixnorm import (
     Alphabet,
     CapacityExceeded,
+    Gap,
     IncreasingPropertyViolation,
     MeasureSpecError,
     MonoidKind,
@@ -40,6 +41,7 @@ from prefixnorm import (
     stepped_step,
     subset_measure,
 )
+from prefixnorm import measure as measure_module
 from prefixnorm.measure import _PRIME_EXACT_BELOW, _is_prime
 
 
@@ -235,6 +237,23 @@ def test_classify_prime_and_binary_flags():
     assert flags.unary and flags.gapfree and flags.stepped.payload == 0
     flags = classify(sum_measure(ABC, 3, 1, 2))
     assert not flags.alphabetically_ordered
+
+
+def test_a_classification_refuses_inconsistent_gap_flags():
+    gapful = classify(sum_measure(ABC, 1, 3, 4))
+    with pytest.raises(ValueError, match="absence of a witness"):
+        dataclasses.replace(gapful, gapfree=True)
+    stepped = classify(sum_measure(ABC, 2, 4, 6))
+    with pytest.raises(ValueError, match="imply gapfreeness"):
+        dataclasses.replace(stepped, gapfree=False, gap_witness=gapful.gap_witness)
+
+
+def test_classify_rechecks_the_gap_witness_against_the_definition(monkeypatch):
+    # Every measure over (2, 4, 6) is gapfree, so no index of any word is a gap.
+    measure = sum_measure(ABC, 2, 4, 6)
+    monkeypatch.setattr(measure_module, "find_gap", lambda m: Gap(Word(ABC, (2, 0, 2, 1)), 3))
+    with pytest.raises(AssertionError, match="gap witness fails"):
+        classify(measure)
 
 
 def test_prime_flag_agrees_with_trial_division():

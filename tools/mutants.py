@@ -210,6 +210,32 @@ MUTANTS = (
         "    end = marks.find(0x80)  # the top byte of a marked field\n    while end > 0:\n",
         equivalent="the log view takes 160 or more letters, so its fields hold slack * n >= 160 in 2 or more bytes",
     ),
+    # The scan's kernel-cell gate, for the one-letter scans the word count cannot refuse.
+    Mutant(
+        "one-letter-cell-gate-skipped",
+        "src/prefixnorm/oracle.py",
+        "    if size == 1:\n",
+        "    if size == 0:\n",
+    ),
+    # The classification's consistency checks.
+    Mutant(
+        "classification-accepts-a-gapfree-witness",
+        "src/prefixnorm/measure.py",
+        "        if self.gapfree != (self.gap_witness is None):\n",
+        "        if False:\n",
+    ),
+    Mutant(
+        "classification-accepts-a-gapful-step",
+        "src/prefixnorm/measure.py",
+        "        if self.stepped is not None and not self.gapfree:\n",
+        "        if False:\n",
+    ),
+    Mutant(
+        "classify-trusts-the-gap-witness",
+        "src/prefixnorm/measure.py",
+        "    if gap is not None and gap.index not in gap_indexes(measure, gap.word):\n",
+        "    if False:\n",
+    ),
     # The verify driver and its size rule.
     Mutant(
         "sweep-stops-one-case-late",
@@ -231,13 +257,6 @@ MUTANTS = (
     ),
     # Flipped comparisons that no test can see.
     Mutant(
-        "find-gap-decides-two-weights-by-triples",
-        "src/prefixnorm/measure.py",
-        "    if len(distinct) <= 2:\n",
-        "    if len(distinct) < 2:\n",
-        equivalent="with two distinct weights, combinations(distinct, 3) is empty, so no triple finds a gap",
-    ),
-    Mutant(
         "expansion-counts-one-letter-classes",
         "src/prefixnorm/normalform.py",
         "if size > 1]",
@@ -257,6 +276,34 @@ MUTANTS = (
         PROFILE,
         "        while lo + 1 < hi and hit.bit_count() > _FEW_WINDOWS:\n",
         "        while lo < hi and hit.bit_count() > _FEW_WINDOWS:\n",
+    ),
+    # The other comparisons of ``settle``: each step hi it keeps was reached by no window.
+    Mutant(
+        "settle-tests-the-step-no-window-reached",
+        PROFILE,
+        "                if lo < hi:\n",
+        "                if lo <= hi:\n",
+        equivalent="at lo == hi == e, at_least(e) is the caller's hit, 0, so hi = lo as before",
+    ),
+    Mutant(
+        "settle-tests-above-the-last-letter-step",
+        PROFILE,
+        "if lo + 1 < hi else 0",
+        "if lo + 1 <= hi else 0",
+        equivalent="at lo + 1 == hi, at_least(hi) is 0, as no window reached hi",
+    ),
+    Mutant(
+        "settle-bisects-at-few-windows",
+        PROFILE,
+        "hit.bit_count() > _FEW_WINDOWS",
+        "hit.bit_count() >= _FEW_WINDOWS",
+        equivalent="bisecting and reading the windows settle the same step, at any window count",
+    ),
+    Mutant(
+        "settle-answers-before-the-bisection-ends",
+        PROFILE,
+        "        if lo + 1 == hi:\n",
+        "        if lo + 1 != hi:\n",
     ),
     Mutant(
         "cyclic-criterion-drops-its-longest-window",
