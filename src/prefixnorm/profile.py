@@ -95,6 +95,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import add, mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -461,6 +462,21 @@ def prefix_payloads(letter_weights: Sequence, indices: Sequence[int], ident, com
     return out
 
 
+# The position functions of a strictly increasing prefix row p[0..n], read
+# with p[-1] below and p[n + 1] above every bound: the package's one code of
+# them, called by ``WeightProfile``'s queries, conditions 3 and 4 of
+# ``normality_conditions`` and the ``position-functions`` sweep.  Private,
+# so a traced run does not wrap them.
+def _last_at_most(row: Sequence, x) -> int:
+    """The k in 0..n with row[k] <= x < row[k + 1], for x at least row[0]."""
+    return bisect_right(row, x) - 1
+
+
+def _first_at_least(row: Sequence, x) -> int:
+    """The k in 0..n + 1 with row[k - 1] < x <= row[k]: n + 1 when x is above row[n]."""
+    return bisect_left(row, x)
+
+
 def gap_indexes(measure: "WeightMeasure", word: "Word") -> list[int]:
     """Indexes whose factor-weight step no single letter can realise.
 
@@ -499,16 +515,30 @@ class WeightProfile:
         """Largest prefix length whose weight does not exceed ``bound``.
 
         Always defined: the empty prefix weighs the identity, the minimum
-        of every supported carrier.  ``MonoidValue`` refuses a bound of
-        another kind with ``ValueError``, and anything else with ``TypeError``.
+        of every supported carrier.  The bound's kind is checked once, as
+        ``MonoidValue``'s comparisons check it: another kind is refused
+        with ``ValueError``, anything else with ``TypeError``.  The query
+        then runs on the prefix payloads, a row built on the first query.
         """
-        return bisect_right(self.prefix, bound) - 1
+        return _last_at_most(self._prefix_row, self._payload(bound))
 
     def first_at_least(self, bound: MonoidValue) -> int:
-        """Smallest prefix length whose weight reaches ``bound``; refuses as ``last_at_most``."""
-        if self.prefix[-1] < bound:
+        """Smallest prefix length whose weight reaches ``bound``; runs and refuses as ``last_at_most``.
+
+        A bound above the word's weight is refused with ``OutOfRange``.
+        """
+        first = _first_at_least(self._prefix_row, self._payload(bound))
+        if first > len(self):
             raise OutOfRange(f"no prefix of {self.word} weighs {bound} or more")
-        return bisect_left(self.prefix, bound)
+        return first
+
+    @cached_property
+    def _prefix_row(self) -> list:
+        return [value.payload for value in self.prefix]
+
+    def _payload(self, bound: MonoidValue):
+        self.prefix[0]._require_same_kind(bound)
+        return bound.payload
 
     def factor_witness(self, size: int) -> "Word":
         """The leftmost factor of the given length realising the maximum."""
@@ -603,16 +633,16 @@ def normality_conditions(measure: "WeightMeasure", word: "Word") -> tuple[bool, 
             known = shortest.get(acc)
             if known is None or size < known:
                 shortest[acc] = size
-    reach = all(bisect_left(p, weight) <= size for weight, size in shortest.items())
+    reach = all(_first_at_least(p, weight) <= size for weight, size in shortest.items())
 
     total = p[n]
     least_a: dict = {}
     least_b: dict = {}
     for value in sorted(set(shortest) | {ident}):
-        least_a.setdefault(bisect_right(p, value) - 1, value)
-        least_b.setdefault(bisect_left(p, value), value)
+        least_a.setdefault(_last_at_most(p, value), value)
+        least_b.setdefault(_first_at_least(p, value), value)
     positions = all(
-        last_a + first_b <= bisect_left(p, ab)
+        last_a + first_b <= _first_at_least(p, ab)
         for last_a, a in least_a.items()
         for first_b, b in least_b.items()
         if (ab := comb(a, b)) <= total

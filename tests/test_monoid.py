@@ -259,6 +259,26 @@ def test_window_products_decode_every_window():
         assert window(start, size) == prod(letters[start:start + size])
 
 
+def test_window_products_grow_a_window_by_one_letter_with_one_multiply():
+    # The first window, of one letter, is multiplied out; each later one is
+    # the last with one letter more, at the same start on odd sizes and one
+    # before it on even ones.  So 40 windows cost 40 multiplies.
+    multiplies = []
+
+    class Letter(int):
+        def __rmul__(self, other):
+            multiplies.append(self)
+            return int(other) * int(self)
+
+    weights = [random.Random(7).choice((2, 3, 5, 7, 10**40)) for _ in range(100)]
+    window = window_products([Letter(weight) for weight in weights])
+    start = 60
+    for size in range(1, 41):
+        start -= size % 2 == 0
+        assert window(start, size) == prod(weights[start:start + size])
+    assert len(multiplies) == 40
+
+
 def test_window_products_extend_only_a_window_one_letter_longer():
     # Windows at the last start, or one before it, of any size but one
     # letter longer than the last: the product is not the last one extended.

@@ -712,6 +712,24 @@ def test_every_other_suite_reports_replayable_lines_on_forced_failure(monkeypatc
     assert report.violations[0] == first
 
 
+@pytest.mark.parametrize(
+    "name,first",
+    [
+        ("_last_at_most", "last_at_most(0) = 1 breaks p[k] <= x < p[k + 1]"),
+        ("_first_at_least", "first_at_least(0) = 1 breaks p[k - 1] < x <= p[k]"),
+    ],
+    ids=["last_at_most", "first_at_least"],
+)
+def test_the_position_sweep_checks_the_library_position_functions(monkeypatch, name, first):
+    # The sweep calls the one position code that the profile queries and
+    # normality_conditions call, so a fault there fails it.
+    real = getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, lambda row, x: real(row, x) + 1)
+    report = run_suite("position-functions", seed=5, cases=20)
+    assert (report.cases, len(report.violations)) == (20, 20)
+    assert report.violations[0] == "measure[nat-sum; letters a b; weights 6 7] | word abbbaa | " + first
+
+
 def test_binary_reduction_scans_each_word_once(monkeypatch):
     # The classic predicate reads the same window maxima that the offset
     # identity compares, so each word's windows are scanned once.

@@ -305,6 +305,80 @@ MUTANTS = (
         "        if lo + 1 == hi:\n",
         "        if lo + 1 != hi:\n",
     ),
+    # The position functions, written once for the queries, the conditions and the sweep.
+    Mutant(
+        "last-at-most-stops-below-an-equal-prefix",
+        PROFILE,
+        "    return bisect_right(row, x) - 1\n",
+        "    return bisect_left(row, x) - 1\n",
+    ),
+    Mutant(
+        "first-at-least-passes-an-equal-prefix",
+        PROFILE,
+        "    return bisect_left(row, x)\n",
+        "    return bisect_right(row, x)\n",
+    ),
+    Mutant(
+        "first-at-least-refuses-every-reached-bound",
+        PROFILE,
+        "        if first > len(self):\n",
+        "        if first <= len(self):\n",
+    ),
+    # The route thresholds: a flip at a crossover that only moves a word
+    # from one exact route to another is equivalent.
+    Mutant(
+        "route-loops-at-the-packed-letter-limit",
+        PROFILE,
+        "    if n < _PACKED_MIN_LETTERS:\n",
+        "    if n <= _PACKED_MIN_LETTERS:\n",
+    ),
+    Mutant(
+        "route-loops-at-the-log-letter-limit",
+        PROFILE,
+        "n >= _LOG_MIN_LETTERS",
+        "n > _LOG_MIN_LETTERS",
+    ),
+    Mutant(
+        "route-logs-at-one-band-apart",
+        PROFILE,
+        "high - low <= slack * n",
+        "high - low < slack * n",
+        equivalent="logs slack * n apart still differ: such words only move from the loops to the log view",
+    ),
+    Mutant(
+        "route-loops-at-the-widest-field",
+        PROFILE,
+        "8 * size <= _PACKED_MAX_FIELD_BITS",
+        "8 * size < _PACKED_MAX_FIELD_BITS",
+        equivalent="words of 8-byte fields only move from the packed rows to the loops",
+    ),
+    # ``window_products``' branches: extend the last window, divide prefix
+    # products or multiply the window out.  Each returns the exact product.
+    Mutant(
+        "window-products-extend-only-at-the-last-start",
+        "src/prefixnorm/monoid.py",
+        "was - 1 <= start <= was:",
+        "was - 1 < start <= was:",
+    ),
+    Mutant(
+        "window-products-extend-only-one-start-before",
+        "src/prefixnorm/monoid.py",
+        "was - 1 <= start <= was:",
+        "was - 1 <= start < was:",
+    ),
+    Mutant(
+        "window-products-read-one-prefix-product-past-the-end",
+        "src/prefixnorm/monoid.py",
+        "        elif end < len(prefix):\n",
+        "        elif end <= len(prefix):\n",
+    ),
+    Mutant(
+        "window-products-multiply-out-at-the-balance",
+        "src/prefixnorm/monoid.py",
+        "        elif direct + size < end - len(prefix):\n",
+        "        elif direct + size <= end - len(prefix):\n",
+        equivalent="at the balance either branch returns the exact product; only the letters multiplied change",
+    ),
     Mutant(
         "cyclic-criterion-drops-its-longest-window",
         "tests/test_profile.py",
