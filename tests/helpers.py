@@ -1,6 +1,19 @@
-"""Shared builders for test fixtures."""
+"""Shared builders for test fixtures, and the loader of the repo's tools."""
+
+import importlib.util
+from pathlib import Path
 
 from prefixnorm import Alphabet, MonoidKind, WeightMeasure, Word
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_module(name, path=None):
+    """Import the file ``path`` as a module named ``name``; by default the tool ``tools/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py" if path is None else path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 ABC = Alphabet(("a", "b", "c"))
 ANB = Alphabet(("a", "n", "b"))

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from prefixnorm.cli import main
+from prefixnorm import DEFAULT_SEED
+from prefixnorm.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -252,20 +253,8 @@ def test_verify_over_no_cases_is_usage_error(capsys, argv, name):
     assert f"{name} must be at least {least}" in captured.err
 
 
-def test_verify_seed_defaults_to_environment(capsys, monkeypatch):
-    monkeypatch.setenv("PREFIXNORM_SEED", "12345")
-    code = main(["verify", "prime-gapful", "--format", "lines"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.startswith("SUITE prime-gapful")
-
-
-def test_verify_names_a_seed_variable_that_is_no_integer(capsys, monkeypatch):
-    monkeypatch.setenv("PREFIXNORM_SEED", "abc")
-    assert main(["verify", "exchange"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: PREFIXNORM_SEED must be an integer, got 'abc'\n"
+def test_verify_seed_defaults_to_the_built_in_seed():
+    assert build_parser().parse_args(["verify", "exchange"]).seed == DEFAULT_SEED
 
 
 # Every command that reads a measure, with the arguments that follow it.

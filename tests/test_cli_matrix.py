@@ -1,18 +1,8 @@
-import importlib.util
-from pathlib import Path
-
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_matrix.py"
-
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("cli_matrix", _TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_module
 
 
 def test_cli_matrix_digests_are_stable_across_runs_and_spec_directories(tmp_path):
-    tool = _load_tool()
+    tool = load_module("cli_matrix")
     runs = []
     for name in ("first", "second"):
         spec_dir = tmp_path / name
@@ -31,7 +21,7 @@ def test_cli_matrix_digests_are_stable_across_runs_and_spec_directories(tmp_path
 
 
 def test_cli_matrix_run_captures_output_and_exit_codes(tmp_path):
-    tool = _load_tool()
+    tool = load_module("cli_matrix")
     paths = tool.write_specs(tmp_path)
     assert tool.run(["pnf", paths["sum-123"], "abc", "--format", "lines"]) == ("unique cba\n", "", 0)
     out, err, code = tool.run(["pnf", paths["sum-123"]])
@@ -39,7 +29,7 @@ def test_cli_matrix_run_captures_output_and_exit_codes(tmp_path):
 
 
 def test_cli_matrix_reads_the_specs_of_a_few_commands(tmp_path):
-    tool = _load_tool()
+    tool = load_module("cli_matrix")
     paths = tool.write_specs(tmp_path)
     argvs = tool.commands(tmp_path)
     assert ["verify", "exchange", "--max-len", "3"] in argvs

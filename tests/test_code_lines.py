@@ -1,14 +1,4 @@
-import importlib.util
-from pathlib import Path
-
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("code_lines", _TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_module
 
 
 def test_code_lines_skip_docstrings_comments_and_blank_lines():
@@ -24,11 +14,11 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines():
         '    return """a string\n'
         'that is no docstring"""\n'
     )
-    assert _load_tool().code_lines(source) == 4
+    assert load_module("code_lines").code_lines(source) == 4
 
 
 def test_code_lines_prints_every_module_and_their_total(capsys):
-    tool = _load_tool()
+    tool = load_module("code_lines")
     assert tool.main() == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     names = [name for _, name in rows]

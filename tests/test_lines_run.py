@@ -1,19 +1,9 @@
-import importlib.util
 import sys
 import threading
-from pathlib import Path
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "lines_run.py"
+from helpers import load_module
 
-
-def _load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-TOOL = _load("lines_run", _TOOL)
+TOOL = load_module("lines_run")
 
 SYNTHETIC = '''"""A module docstring."""
 
@@ -40,6 +30,6 @@ def test_the_collector_reports_the_untaken_branch_and_restores_the_tracers(tmp_p
     path.write_text(SYNTHETIC, encoding="utf-8")
     before = sys.gettrace(), threading.gettrace()
     with TOOL.executed_lines(tmp_path) as ran:
-        _load("synthetic", path).bump(True)
+        load_module("synthetic", path).bump(True)
     assert (sys.gettrace(), threading.gettrace()) == before
     assert TOOL.never_ran(tmp_path, ran) == {"synthetic.py": [12]}

@@ -25,6 +25,7 @@ from prefixnorm import (
     brute_equivalence_class,
     brute_gap_search,
     brute_prefix_normal_set,
+    classify,
     corpus_measures,
     count_binary_prefix_normal,
     count_prefix_normal,
@@ -710,6 +711,119 @@ def test_every_other_suite_reports_replayable_lines_on_forced_failure(monkeypatc
     report = run_suite(suite, seed=5, **sizes)
     assert (report.cases, len(report.violations)) == counts
     assert report.violations[0] == first
+
+
+def _flags_with(**flip):
+    # The real classification with some flags overridden, past its consistency checks.
+    return lambda measure: SimpleNamespace(**{**vars(classify(measure)), **flip})
+
+
+def _merge_nothing(measure):
+    # The projection that keeps every letter apart, equal weights included.
+    letters = range(len(measure.alphabet))
+    return ProjectedMeasure(
+        source_alphabet=measure.alphabet,
+        classes=tuple((i,) for i in letters),
+        class_of=tuple(letters),
+        measure=measure,
+    )
+
+
+class _Longer(Word):
+    """A word that reports one letter more than it holds."""
+
+    def __len__(self):
+        return super().__len__() + 1
+
+
+_project_word = ProjectedMeasure.project_word
+_classic_max_ones = oracle.classic_max_ones
+
+# Per problem line of a sweep check that no fault of _FORCED_FAILURES
+# reaches: its suite, the call the check makes, a fault that reaches the
+# line, the sizes to run at, and the cases, violations and leading lines at
+# seed 5.
+_PROBLEM_LINES = {
+    "trichotomy-gapfree-empty-class": (
+        "trichotomy", oracle, "classify", _flags_with(gapfree=True), {"max_len": 4}, (34880, 410),
+        ("measure[nat-sum; letters a n x; weights 1 2 4] | word nxax | "
+         "gapfree measure, empty prefix-normal set",),
+    ),
+    "trichotomy-injective-multi-member-class": (
+        "trichotomy", oracle, "classify", _flags_with(injective=True), {"max_len": 2}, (2752, 165),
+        ("measure[nat-sum; letters a n c b; weights 1 2 2 3] | word n | "
+         "injective measure, 2 prefix-normal words",),
+    ),
+    "trichotomy-gapful-without-empty-class": (
+        "trichotomy", oracle, "classify", _flags_with(gapfree=False), {"max_len": 4}, (34880, 109),
+        ("measure[nat-sum; letters a b; weights 1 2] | gapful, but no empty class up to length 4",),
+    ),
+    "trichotomy-non-injective-without-multi-member-class": (
+        "trichotomy", oracle, "classify", _flags_with(injective=False), {"max_len": 2}, (2752, 172),
+        ("measure[nat-sum; letters a b; weights 1 2] | "
+         "non-injective, but no multi-member class up to length 2",),
+    ),
+    "pn-equivalences-is-prefix-normal": (
+        "pn-equivalences", oracle, "is_prefix_normal", lambda measure, word: None, {"cases": 20}, (20, 20),
+        ("measure[nat-sum; letters a b; weights 6 7] | word  | "
+         "is_prefix_normal says False, condition 1 says True",),
+    ),
+    "pn-equivalences-all-pairs": (
+        "pn-equivalences", oracle, "_position_bound_all_pairs", lambda measure, idx: None,
+        {"cases": 20}, (20, 20),
+        ("measure[nat-sum; letters a b; weights 6 7] | word  | "
+         "position bound True, but all pairs give False",),
+    ),
+    "projection-not-injective": (
+        "projection", WeightMeasure, "projected", property(_merge_nothing), {"cases": 20}, (20, 6),
+        ("measure[nat-sum; letters a b c d; weights 1 7 7 3] | word adabd | "
+         "projected measure not injective",),
+    ),
+    "projection-changed-length": (
+        "projection", ProjectedMeasure, "project_word",
+        lambda self, word: _Longer(self.measure.alphabet, _project_word(self, word).indices),
+        {"cases": 20}, (20, 20),
+        ("measure[nat-sum; letters a b; weights 6 7] | word abbbaa | projection changed length",),
+    ),
+    "gap-decision-definitional-check": (
+        "gap-decision", oracle, "gap_indexes", lambda measure, word: (), {"max_len": 4}, (220, 111),
+        ("measure[nat-sum; letters a n x; weights 1 2 4] | "
+         "witness xaxn fails the definitional gap check",),
+    ),
+    "vector-gapfree-reported-gap": (
+        "vector-gapfree", oracle, "find_gap", lambda measure: Gap(Word(measure.alphabet, (0,)), 1),
+        {"max_len": 3}, (41, 2),
+        ("measure[vec2-lex; letters a b c; weights (0,2) (1,1) (2,0)] | "
+         "decision says gapful, brute force says gapfree",
+         "measure[vec2-lex; letters a b c; weights (0,2) (1,1) (2,0)] | "
+         "decision procedure reported a gap"),
+    ),
+    "stepped-gapfree-converse": (
+        "stepped-gapfree", oracle, "stepped_step", lambda measure: None, {"cases": 20}, (20, 3),
+        ("measure[vec2-lex; letters a b c; weights (0,1) (1,1) (2,1)] | gapfree=True but stepped=None",),
+    ),
+    "equivalence-normal-form": (
+        "equivalence", oracle, "prefix_normal_form", lambda measure, word: None, {}, (149, 44),
+        ("measure[nat-sum; letters 0 1; weights 1 2] | word  | "
+         "normal form differs from the standard measure's",),
+    ),
+    "binary-reduction-offset-identity": (
+        "binary-reduction", oracle, "classic_max_ones", lambda bits: [m + 1 for m in _classic_max_ones(bits)],
+        {"max_len": 2}, (6, 13),
+        ("measure[nat-sum; letters 0 1; weights 1 2] | word 0 | weighted=True classic=False",
+         "measure[nat-sum; letters 0 1; weights 1 2] | word 0 | weighted maxima minus length offset differ"),
+    ),
+}
+
+
+@pytest.mark.parametrize("line", _PROBLEM_LINES)
+def test_every_problem_line_of_the_sweeps_runs_on_a_forced_fault(monkeypatch, line):
+    suite, owner, name, fault, sizes, counts, leading = _PROBLEM_LINES[line]
+    assert run_suite(suite, seed=5, **sizes).passed
+    monkeypatch.setattr(owner, name, fault)
+    report = run_suite(suite, seed=5, **sizes)
+    assert (report.cases, len(report.violations)) == counts
+    assert report.violations[: len(leading)] == leading
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,13 @@
 Each mutant is one exact edit: a file of the repo, an anchor that occurs
 exactly once in it, and the text that replaces the anchor.  A mutant
 marked equivalent carries the one-line reason why no test can see it.
-The tool exports the working tree's tracked files, staged new files
-included, with ``git archive`` into a temporary directory, then for each mutant applies its edit, runs pytest with ``-x``
-under a timeout, and restores the file.  It prints one line per mutant:
+The tool copies the working tree's tracked files, staged new files
+included, into a temporary directory, then for each mutant applies its
+edit, runs pytest with ``-x`` under a timeout, and restores the file.  It
+prints one line per mutant:
 
-- ``killed``: a test failed (or the tests could not run);
+- ``killed``: a test failed, and the line names the first test of
+  pytest's short summary; or the tests could not run, and it says so;
 - ``hang``: the run passed the timeout, a loop that no longer ends;
 - ``survived``: every test passed, so no test sees the edit.
 
@@ -20,18 +22,18 @@ when a mutant not marked equivalent survived.
 
 Usage: ``python3 tools/mutants.py [NAME ...] [--tests PATH ...] [--timeout S]
 [--list]``.  ``--tests`` names a test subset (pytest paths or node ids);
-the default is the whole suite.  Byte-compiled files are not written, so a restored file is never read from a mutant's cache.
+the default is the whole suite.  Byte-compiled files are not written, so
+a restored file is never read from a mutant's cache.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
+import shutil
 import signal
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -397,36 +399,56 @@ def apply(text: str, mutant: Mutant) -> str:
 
 
 def _export(into: Path) -> None:
-    """Extract the working tree's tracked files with ``git archive``."""
-    # ``git stash create`` commits the working tree and index without
-    # touching them, and prints nothing when both are clean.
-    made = subprocess.run(["git", "stash", "create"], cwd=ROOT, capture_output=True, text=True, check=True)
-    tar = subprocess.run(["git", "archive", made.stdout.strip() or "HEAD"], cwd=ROOT, capture_output=True, check=True)
-    with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
-        # The extraction filters arrived in 3.10.12 and 3.11.4; before them
-        # ``filter`` is an unknown keyword.
-        if hasattr(tarfile, "data_filter"):
-            archive.extractall(into, filter="data")
-        else:
-            archive.extractall(into)
+    """Copy the working tree's tracked files, staged new files included, into ``into``."""
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, capture_output=True, text=True, check=True)
+    for name in listed.stdout.split("\0"):
+        source = ROOT / name
+        if source.is_file():  # leaves out a tracked file deleted from the tree
+            target = into / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 # Reads each anchor from the tree under test, so it fails under every mutant.
 ANCHOR_TEST = "tests/test_mutants.py::test_every_mutant_anchor_occurs_exactly_once"
 
 
-def _run(tree: Path, tests: list[str], timeout: float) -> str:
+def killer(output: str) -> str | None:
+    """The node id of the first ``FAILED`` or ``ERROR`` line in pytest's short summary, if it has one.
+
+    A collection error names a file, not a test, and is reported as such.
+    """
+    for line in output.partition("short test summary info")[2].splitlines():
+        outcome, _, rest = line.partition(" ")
+        if outcome in ("FAILED", "ERROR"):
+            node = rest.partition(" - ")[0]
+            return node if "::" in node else f"no test named: {node} did not collect"
+    return None
+
+
+def _run(tree: Path, tests: list[str], timeout: float) -> tuple[str, str]:
+    """The run's outcome, and for ``killed`` what killed it."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--deselect", ANCHOR_TEST, *tests]
     child = subprocess.Popen(
-        command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True
+        command,
+        cwd=tree,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        encoding="utf-8",
+        errors="replace",
+        start_new_session=True,
     )
     try:
-        return "survived" if child.wait(timeout) == 0 else "killed"
+        output, _ = child.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(child.pid, signal.SIGKILL)
-        child.wait()
-        return "hang"
+        child.communicate()
+        return "hang", ""
+    if child.returncode == 0:
+        return "survived", ""
+    return "killed", killer(output) or f"no test named: pytest exited {child.returncode}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -449,19 +471,20 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch)
         _export(tree)
-        if _run(tree, args.tests, args.timeout) != "survived":
-            print("the tests do not pass without a mutant; nothing to compare")
+        outcome, why = _run(tree, args.tests, args.timeout)
+        if outcome != "survived":
+            print(f"the tests do not pass without a mutant ({why or outcome}); nothing to compare")
             return 2
         for mutant in chosen:
             path = tree / mutant.path
             original = path.read_text(encoding="utf-8")
             path.write_text(apply(original, mutant), encoding="utf-8")
             try:
-                outcome = _run(tree, args.tests, args.timeout)
+                outcome, why = _run(tree, args.tests, args.timeout)
             finally:
                 path.write_text(original, encoding="utf-8")
             totals[outcome] += 1
-            note = ""
+            note = f"  ({why})" if why else ""
             if outcome == "survived":
                 note = f"  (equivalent: {mutant.equivalent})" if mutant.equivalent else "  (no test sees it)"
                 missed += not mutant.equivalent
